@@ -8,9 +8,14 @@
 //!   pair per dialect on its native device. Modeled state is bit-identical
 //!   (pinned by `exec_equivalence` in `locassm-kernels`); this group
 //!   measures the host-side cost of buying the simulated latency term.
-//! * `sched_replay` — the replay alone: record one launch's timelines
+//! * `sched_replay` — the replay alone: build one launch's timelines
 //!   outside the timing loop, then re-schedule them, isolating the
-//!   event-queue cost from the simulation proper.
+//!   event-queue cost from the simulation proper. Two launch shapes, each
+//!   replayed with SMs in parallel (`simt::schedule`) and serially:
+//!   `replay_only` (256 short warps at residency 4, several warps per SM)
+//!   and `one_warp_per_sm` (as many long walk-phase warps as the device
+//!   has SMs, the shape of the k = 77 walk launches, where each SM holds
+//!   a single warp).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_specs::{sched_config, DeviceId};
@@ -25,8 +30,8 @@ fn bench_sched_exec(c: &mut Criterion) {
     g.sample_size(10);
     for dev in [DeviceId::A100, DeviceId::Mi250x, DeviceId::Max1550] {
         let mut cfg = GpuConfig::for_device(dev);
-        // Criterion runs inside its own harness; keep the simulation
-        // single-threaded for stable measurements.
+        // Criterion runs inside its own harness; keep the simulation and
+        // the replay single-threaded for stable measurements.
         cfg.parallel = false;
         cfg.exec = ExecMode::Vectorized;
         g.bench_with_input(
@@ -47,7 +52,7 @@ fn bench_sched_exec(c: &mut Criterion) {
 fn bench_replay_alone(c: &mut Criterion) {
     // A launch worth of synthetic timelines shaped like the kernel's
     // (construct phase heavy on L1/Hbm touches, walk phase on L2),
-    // built outside the timing loop so only `simt::schedule` is measured.
+    // built outside the timing loop so only the replay is measured.
     use memhier::MemLevel;
     let jobs: Vec<simt::WarpTimeline> = (0..256u64)
         .map(|w| {
@@ -75,10 +80,42 @@ fn bench_replay_alone(c: &mut Criterion) {
         .collect();
     let sc = sched_config(DeviceId::A100.spec(), 4);
 
+    // One long walk per SM: a short construct prologue, then a dependent
+    // chain of lookups (mostly L2, some HBM) with small compute gaps.
+    let spec = DeviceId::A100.spec();
+    let walks: Vec<simt::WarpTimeline> = (0..u64::from(spec.compute_units))
+        .map(|w| {
+            let mut r = simt::TimelineRecorder::new(w);
+            let mut clock = 0u64;
+            r.record_phase_enter("construct", clock);
+            for i in 0..50u64 {
+                clock += 1 + (w + i) % 5;
+                r.record_mem(clock, MemLevel::L1);
+            }
+            r.record_phase_exit(clock);
+            r.record_phase_enter("walk", clock);
+            for i in 0..20_000u64 {
+                clock += 3 + (w ^ i) % 9;
+                r.record_mem(clock, if i % 4 == 0 { MemLevel::Hbm } else { MemLevel::L2 });
+            }
+            r.record_phase_exit(clock);
+            r.finish(clock + 5)
+        })
+        .collect();
+    let walk_sc = sched_config(spec, 1);
+
     let mut g = c.benchmark_group("sched_replay");
-    g.bench_function("replay_only", |b| {
-        b.iter(|| black_box(simt::schedule(black_box(&jobs), &sc)).makespan_ticks)
-    });
+    let shapes = [("replay_only", &jobs, &sc), ("one_warp_per_sm", &walks, &walk_sc)];
+    for (name, timelines, cfg) in shapes {
+        for parallel in [true, false] {
+            let mode = if parallel { "parallel" } else { "serial" };
+            g.bench_with_input(BenchmarkId::new(name, mode), timelines, |b, t| {
+                b.iter(|| {
+                    black_box(simt::schedule_with(black_box(t), cfg, parallel)).makespan_ticks
+                })
+            });
+        }
+    }
     g.finish();
 }
 

@@ -238,7 +238,7 @@ fn escalation_ladder(
 /// plan stays armed for attempt indices `0..plan.attempts` (the batch run
 /// was attempt 0), so a transient plan clears on the first retry while a
 /// persistent one keeps faulting until the ladder is exhausted. Retry
-/// counters and traces merge into the run totals.
+/// counters, traces and scheduled-replay slices merge into the run totals.
 #[allow(clippy::too_many_arguments)]
 fn escalate_job(
     cfg: &GpuConfig,
@@ -250,6 +250,7 @@ fn escalate_job(
     total: &mut AggCounters,
     phases: &mut PhaseCounters,
     san: &mut SanReport,
+    sched_tracks: &mut Vec<simt::SmSlice>,
 ) -> (JobOutcome, Option<KernelOut>) {
     let mut fault = first_fault;
     let mut grown = matches!(fault, KernelFault::HashTableFull { .. });
@@ -297,8 +298,9 @@ fn escalate_job(
         }
         total.merge(&out.counters);
         // Retries replay too (a single resident warp hides nothing), so
-        // the run's scheduled profile covers every launched instruction.
-        schedule_launch(spec, &out.timelines, 1, false, phases, &mut Vec::new());
+        // the run's scheduled profile and tracks cover every launched
+        // instruction.
+        schedule_launch(spec, &out.timelines, 1, cfg.sched_tracks, false, phases, sched_tracks);
         let instr = out.warp_instruction_counts;
         let results = out.results;
         fold_phases(phases, cfg.width, &results, &instr, &out.counters);
@@ -328,9 +330,11 @@ fn escalate_job(
 
 /// Replay a `Scheduled`-mode launch's recorded timelines through the
 /// event-driven per-SM scheduler and fold the outcome into the run's
-/// [`SchedProfile`]. Track slices, when requested, are shifted onto the
-/// run-global tick clock (launches replay back-to-back, so each one
-/// starts at the makespan accumulated so far). Returns the per-launch
+/// [`SchedProfile`]. SMs replay in parallel when `parallel` is set (the
+/// launch's own setting; bit-identical either way). Track slices, when
+/// requested, are shifted onto the run-global tick clock (launches replay
+/// back-to-back, so each one starts at the makespan accumulated so far).
+/// Returns the per-launch
 /// replay for the walk-latency override; `None` when the launch recorded
 /// no timelines (any non-`Scheduled` mode).
 fn schedule_launch(
@@ -338,6 +342,7 @@ fn schedule_launch(
     timelines: &[simt::WarpTimeline],
     residency: u32,
     record_tracks: bool,
+    parallel: bool,
     phases: &mut PhaseCounters,
     tracks: &mut Vec<simt::SmSlice>,
 ) -> Option<simt::SchedResult> {
@@ -346,7 +351,7 @@ fn schedule_launch(
     }
     let mut sc = sched_config(spec, residency);
     sc.record_tracks = record_tracks;
-    let r = simt::schedule(timelines, &sc);
+    let r = simt::schedule_with(timelines, &sc, parallel);
     let offset = phases.sched.map_or(0, |s| s.makespan_ticks);
     tracks.extend(
         r.tracks.iter().map(|s| simt::SmSlice { start: s.start + offset, end: s.end + offset, ..*s }),
@@ -586,6 +591,7 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
                         &out.timelines,
                         scheduled_residency(spec, footprint),
                         cfg.sched_tracks,
+                        cfg.parallel,
                         &mut phases,
                         &mut sched_tracks,
                     )
@@ -641,6 +647,7 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
                                 &mut total,
                                 &mut phases,
                                 &mut san,
+                                &mut sched_tracks,
                             )
                         }
                     };

@@ -59,7 +59,7 @@ pub use mask::Mask;
 pub use mem::{AllocError, GlobalMem};
 pub use san::{SanFinding, SanKind, SanReport, SanitizerConfig};
 pub use sched::{
-    schedule, PhaseSched, SchedConfig, SchedResult, SmSlice, TimeQueue, TimelineEvent,
+    schedule, schedule_with, PhaseSched, SchedConfig, SchedResult, SmSlice, TimeQueue, TimelineEvent,
     TimelineRecorder, WarpTimeline,
 };
 pub use trace::{Event, EventKind, Span, TraceSink, WarpTrace};

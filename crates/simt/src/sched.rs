@@ -31,6 +31,7 @@
 //! headroom for runs billions of instructions long.
 
 use memhier::MemLevel;
+use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -325,13 +326,17 @@ impl SchedResult {
         self.makespan_ticks += o.makespan_ticks;
         self.busy_ticks += o.busy_ticks;
         self.resident_ticks += o.resident_ticks;
-        for (name, p) in &o.phases {
-            match self.phases.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => mine.merge(p),
-                None => self.phases.push((name, *p)),
-            }
-        }
+        self.merge_phases(&o.phases);
         self.tracks.extend_from_slice(&o.tracks);
+    }
+
+    /// Add `phases` into this result's per-phase ticks, appending names
+    /// not seen yet in their order.
+    fn merge_phases(&mut self, phases: &[(&'static str, PhaseSched)]) {
+        for &(name, ref p) in phases {
+            let slot = phase_slot(&mut self.phases, name);
+            self.phases[slot].1.merge(p);
+        }
     }
 }
 
@@ -408,6 +413,12 @@ impl<'a> WarpState<'a> {
     }
 }
 
+/// Replay a launch's recorded timelines through per-SM event queues, the
+/// SMs in parallel (see [`schedule_with`]).
+pub fn schedule(timelines: &[WarpTimeline], cfg: &SchedConfig) -> SchedResult {
+    schedule_with(timelines, cfg, true)
+}
+
 /// Replay a launch's recorded timelines through per-SM event queues.
 ///
 /// Warps are assigned to SMs round-robin in job order (`warp j → SM
@@ -415,7 +426,13 @@ impl<'a> WarpState<'a> {
 /// order up to `cfg.residency` resident warps per SM; each SM has a
 /// single issue port arbitrated FCFS through a [`TimeQueue`]. The result
 /// is deterministic for a given `(timelines, cfg)` input.
-pub fn schedule(timelines: &[WarpTimeline], cfg: &SchedConfig) -> SchedResult {
+///
+/// SMs share no state, so with `parallel` set they replay concurrently
+/// on the rayon pool (serially otherwise) and their partial results are
+/// merged in SM order: tick sums add, the makespan is the maximum, phases
+/// keep first-encounter order and track slices concatenate. The result is
+/// bit-identical either way.
+pub fn schedule_with(timelines: &[WarpTimeline], cfg: &SchedConfig, parallel: bool) -> SchedResult {
     let mut result = SchedResult {
         residency: cfg.residency.max(1),
         ..Default::default()
@@ -425,21 +442,44 @@ pub fn schedule(timelines: &[WarpTimeline], cfg: &SchedConfig) -> SchedResult {
     }
     let sms_used = (cfg.sms as usize).min(timelines.len());
     result.sms_used = sms_used as u32;
-    for sm in 0..sms_used {
+    let replay_sm = |sm: usize| {
         let assigned: Vec<&WarpTimeline> =
             timelines.iter().skip(sm).step_by(sms_used).collect();
-        schedule_sm(sm as u32, &assigned, cfg, &mut result);
+        schedule_sm(sm as u32, &assigned, cfg)
+    };
+    let per_sm: Vec<SchedResult> = if parallel {
+        (0..sms_used).collect::<Vec<_>>().into_par_iter().map(replay_sm).collect()
+    } else {
+        (0..sms_used).map(replay_sm).collect()
+    };
+    for part in per_sm {
+        result.makespan_ticks = result.makespan_ticks.max(part.makespan_ticks);
+        result.busy_ticks += part.busy_ticks;
+        result.resident_ticks += part.resident_ticks;
+        result.merge_phases(&part.phases);
+        result.tracks.extend(part.tracks);
     }
     result
 }
 
-/// Replay one SM's assigned warps through its issue port.
-fn schedule_sm(
-    sm: u32,
-    assigned: &[&WarpTimeline],
-    cfg: &SchedConfig,
-    result: &mut SchedResult,
-) {
+/// Index of `name` in `phases`, appending a zeroed entry on first
+/// encounter. Names compare by content: equal literals from different
+/// crates need not share an address.
+fn phase_slot(phases: &mut Vec<(&'static str, PhaseSched)>, name: &'static str) -> usize {
+    match phases.iter().position(|(n, _)| *n == name) {
+        Some(i) => i,
+        None => {
+            phases.push((name, PhaseSched::default()));
+            phases.len() - 1
+        }
+    }
+}
+
+/// Replay one SM's assigned warps through its issue port, returning the
+/// SM's partial result (`makespan_ticks`, tick sums, phases and tracks;
+/// `sms_used`/`residency` are left for the caller).
+fn schedule_sm(sm: u32, assigned: &[&WarpTimeline], cfg: &SchedConfig) -> SchedResult {
+    let mut result = SchedResult::default();
     let residency = cfg.residency.max(1) as usize;
     let mut states: Vec<WarpState<'_>> =
         assigned.iter().map(|t| WarpState::new(t)).collect();
@@ -453,19 +493,11 @@ fn schedule_sm(
     let mut admitted_at = vec![0u64; states.len()];
 
     let mut port_free: u64 = 0; // tick the issue port becomes free
-    let mut busy: u64 = 0;
-    let mut makespan: u64 = 0;
 
-    let add_phase = |result: &mut SchedResult, name: &'static str, f: &dyn Fn(&mut PhaseSched)| {
-        match result.phases.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, p)) => f(p),
-            None => {
-                let mut p = PhaseSched::default();
-                f(&mut p);
-                result.phases.push((name, p));
-            }
-        }
-    };
+    // The last phase resolved to a slot: consecutive events almost always
+    // issue under the same `&'static str`, so a pointer compare skips the
+    // name scan.
+    let mut last_phase: Option<(&'static str, usize)> = None;
 
     while let Some((ready, idx)) = queue.pop() {
         states[idx].consume_markers();
@@ -475,7 +507,7 @@ fn schedule_sm(
             // warp (admitted at the retirement tick, in job order).
             let retired_at = ready;
             result.resident_ticks += retired_at - admitted_at[idx];
-            makespan = makespan.max(retired_at);
+            result.makespan_ticks = result.makespan_ticks.max(retired_at);
             if next_admission < states.len() {
                 admitted_at[next_admission] = retired_at;
                 queue.push(retired_at, next_admission);
@@ -483,20 +515,28 @@ fn schedule_sm(
             }
             continue;
         };
+        let slot = match last_phase {
+            Some((name, slot)) if std::ptr::eq(name, phase) => slot,
+            _ => {
+                let slot = phase_slot(&mut result.phases, phase);
+                last_phase = Some((phase, slot));
+                slot
+            }
+        };
+        let p = &mut result.phases[slot].1;
         // The port serves requests FCFS, so an idle gap before this issue
         // means no resident warp was ready — latency the resident set
         // failed to hide, attributed to the issuing warp's current phase.
         let start = ready.max(port_free);
         if start > port_free {
-            let exposed = start - port_free.max(admitted_at[idx]);
-            add_phase(result, phase, &|p| p.exposed_ticks += exposed);
+            p.exposed_ticks += start - port_free.max(admitted_at[idx]);
         }
         let dur = instructions * cfg.issue_ticks;
         let end = start + dur;
-        busy += dur;
+        p.issue_ticks += dur;
+        result.busy_ticks += dur;
         port_free = end;
-        makespan = makespan.max(end);
-        add_phase(result, phase, &|p| p.issue_ticks += dur);
+        result.makespan_ticks = result.makespan_ticks.max(end);
         if cfg.record_tracks {
             result.tracks.push(SmSlice {
                 sm,
@@ -511,7 +551,7 @@ fn schedule_sm(
                 // Block the warp for the access latency; the port is free
                 // meanwhile — that's the window other warps hide in.
                 let lat = cfg.latency_ticks(level);
-                add_phase(result, phase, &|p| p.stall_ticks += lat);
+                p.stall_ticks += lat;
                 queue.push(end + lat, idx);
             }
             None => {
@@ -521,8 +561,7 @@ fn schedule_sm(
             }
         }
     }
-    result.busy_ticks += busy;
-    result.makespan_ticks = result.makespan_ticks.max(makespan);
+    result
 }
 
 #[cfg(test)]
@@ -841,5 +880,178 @@ mod sched_tests {
         assert_eq!(t.warp_id, 7);
         let r = schedule(std::slice::from_ref(&t), &cfg(1, 1));
         assert_eq!(r.issue_ticks(), t.total_instructions * 10);
+    }
+}
+
+#[cfg(test)]
+mod serial_equivalence_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The replay as a single serial loop over SMs, accumulating into one
+    /// shared result — the reference [`schedule_with`] must reproduce
+    /// exactly in both its parallel and serial forms.
+    fn reference_schedule(timelines: &[WarpTimeline], cfg: &SchedConfig) -> SchedResult {
+        let mut result = SchedResult { residency: cfg.residency.max(1), ..Default::default() };
+        if timelines.is_empty() || cfg.sms == 0 {
+            return result;
+        }
+        let sms_used = (cfg.sms as usize).min(timelines.len());
+        result.sms_used = sms_used as u32;
+        for sm in 0..sms_used {
+            let assigned: Vec<&WarpTimeline> =
+                timelines.iter().skip(sm).step_by(sms_used).collect();
+            reference_schedule_sm(sm as u32, &assigned, cfg, &mut result);
+        }
+        result
+    }
+
+    fn reference_schedule_sm(
+        sm: u32,
+        assigned: &[&WarpTimeline],
+        cfg: &SchedConfig,
+        result: &mut SchedResult,
+    ) {
+        let residency = cfg.residency.max(1) as usize;
+        let mut states: Vec<WarpState<'_>> =
+            assigned.iter().map(|t| WarpState::new(t)).collect();
+        let mut queue: TimeQueue<usize> = TimeQueue::new();
+        let mut next_admission = residency.min(states.len());
+        for idx in 0..next_admission {
+            queue.push(0, idx);
+        }
+        let mut admitted_at = vec![0u64; states.len()];
+        let mut port_free: u64 = 0;
+        let mut busy: u64 = 0;
+        let mut makespan: u64 = 0;
+        let add_phase =
+            |result: &mut SchedResult, name: &'static str, f: &dyn Fn(&mut PhaseSched)| {
+                match result.phases.iter_mut().find(|(n, _)| *n == name) {
+                    Some((_, p)) => f(p),
+                    None => {
+                        let mut p = PhaseSched::default();
+                        f(&mut p);
+                        result.phases.push((name, p));
+                    }
+                }
+            };
+        while let Some((ready, idx)) = queue.pop() {
+            states[idx].consume_markers();
+            let phase = states[idx].phase();
+            let Some((instructions, mem)) = states[idx].next_step() else {
+                result.resident_ticks += ready - admitted_at[idx];
+                makespan = makespan.max(ready);
+                if next_admission < states.len() {
+                    admitted_at[next_admission] = ready;
+                    queue.push(ready, next_admission);
+                    next_admission += 1;
+                }
+                continue;
+            };
+            let start = ready.max(port_free);
+            if start > port_free {
+                let exposed = start - port_free.max(admitted_at[idx]);
+                add_phase(result, phase, &|p| p.exposed_ticks += exposed);
+            }
+            let dur = instructions * cfg.issue_ticks;
+            let end = start + dur;
+            busy += dur;
+            port_free = end;
+            makespan = makespan.max(end);
+            add_phase(result, phase, &|p| p.issue_ticks += dur);
+            if cfg.record_tracks {
+                result.tracks.push(SmSlice {
+                    sm,
+                    warp: states[idx].timeline.warp_id,
+                    start,
+                    end,
+                    phase,
+                });
+            }
+            match mem {
+                Some(level) => {
+                    let lat = cfg.latency_ticks(level);
+                    add_phase(result, phase, &|p| p.stall_ticks += lat);
+                    queue.push(end + lat, idx);
+                }
+                None => queue.push(end, idx),
+            }
+        }
+        result.busy_ticks += busy;
+        result.makespan_ticks = result.makespan_ticks.max(makespan);
+    }
+
+    /// A random timeline: memory accesses at all three levels, nested
+    /// phase markers (some zero-width, at the current clock), stretches
+    /// outside any phase, and either a compute tail or an end exactly on
+    /// the last memory instruction.
+    fn random_timeline(rng: &mut StdRng, id: u64, names: &[&'static str]) -> WarpTimeline {
+        let mut rec = TimelineRecorder::new(id);
+        let mut clock = 0u64;
+        let mut depth = 0u32;
+        for _ in 0..rng.random_range(0..=24usize) {
+            match rng.random_range(0..6u32) {
+                0 => {
+                    clock += rng.random_range(0..=4u64);
+                    rec.record_phase_enter(names[rng.random_range(0..names.len())], clock);
+                    depth += 1;
+                }
+                1 if depth > 0 => {
+                    clock += rng.random_range(0..=4u64);
+                    rec.record_phase_exit(clock);
+                    depth -= 1;
+                }
+                _ => {
+                    clock += rng.random_range(1..=8u64);
+                    let levels = [MemLevel::L1, MemLevel::L2, MemLevel::Hbm];
+                    rec.record_mem(clock, levels[rng.random_range(0..3usize)]);
+                }
+            }
+        }
+        let tail = if rng.random_bool(0.5) { 0 } else { rng.random_range(1..=10u64) };
+        rec.finish(clock + tail)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Per-SM parallel replay with its SM-order merge is bit-identical
+        /// to the serial loop for 1–300 warps over every SM count 1–130
+        /// (so both one-warp-per-SM and many-warps-per-SM launches),
+        /// residency 1–8, with and without track slices.
+        #[test]
+        fn per_sm_replay_matches_the_serial_loop(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A phase name equal to "walk" at a different address: names
+            // must merge by content, not by pointer.
+            let alias: &'static str = Box::leak(String::from("walk").into_boxed_str());
+            let names = ["stage", "construct", "walk", alias];
+            let warps = rng.random_range(1..=300u64);
+            let timelines: Vec<WarpTimeline> =
+                (0..warps).map(|w| random_timeline(&mut rng, w, &names)).collect();
+            let base = SchedConfig {
+                sms: 1,
+                residency: 1,
+                issue_ticks: rng.random_range(1..=20u64),
+                l1_ticks: rng.random_range(1..=40u64),
+                l2_ticks: rng.random_range(40..=200u64),
+                hbm_ticks: rng.random_range(200..=900u64),
+                record_tracks: false,
+            };
+            for sms in 1..=130u32 {
+                for residency in 1..=8u32 {
+                    for record_tracks in [false, true] {
+                        let c = SchedConfig { sms, residency, record_tracks, ..base };
+                        let want = reference_schedule(&timelines, &c);
+                        prop_assert!(schedule_with(&timelines, &c, true) == want,
+                            "parallel replay differs: {warps} warps, {c:?}");
+                        prop_assert!(schedule_with(&timelines, &c, false) == want,
+                            "serial replay differs: {warps} warps, {c:?}");
+                    }
+                }
+            }
+        }
     }
 }
