@@ -100,6 +100,30 @@ pub struct KernelJob<'a> {
 }
 
 impl<'a> KernelJob<'a> {
+    /// The one constructor: first-attempt defaults (slot reserve 1,
+    /// default probe and layout, resize off) around the given inputs.
+    fn new(
+        contig: Cow<'a, [u8]>,
+        reads: Cow<'a, [Read]>,
+        k: usize,
+        walk: WalkConfig,
+        retry: Cow<'a, RetryPolicy>,
+        dialect: Dialect,
+    ) -> Self {
+        KernelJob {
+            contig,
+            reads,
+            k,
+            walk,
+            retry,
+            dialect,
+            slot_reserve: 1,
+            probe: ProbeStrategy::default(),
+            layout: TableLayoutKind::default(),
+            resize: false,
+        }
+    }
+
     /// A zero-copy job borrowing its inputs (the right-extension path).
     pub fn borrowed(
         contig: &'a [u8],
@@ -109,18 +133,8 @@ impl<'a> KernelJob<'a> {
         retry: &'a RetryPolicy,
         dialect: Dialect,
     ) -> Self {
-        KernelJob {
-            contig: Cow::Borrowed(contig),
-            reads: Cow::Borrowed(reads),
-            k,
-            walk,
-            retry: Cow::Borrowed(retry),
-            dialect,
-            slot_reserve: 1,
-            probe: ProbeStrategy::default(),
-            layout: TableLayoutKind::default(),
-            resize: false,
-        }
+        let (contig, reads) = (Cow::Borrowed(contig), Cow::Borrowed(reads));
+        KernelJob::new(contig, reads, k, walk, Cow::Borrowed(retry), dialect)
     }
 
     /// A job owning transformed inputs (the left-extension path, which
@@ -134,18 +148,8 @@ impl<'a> KernelJob<'a> {
         retry: &'a RetryPolicy,
         dialect: Dialect,
     ) -> Self {
-        KernelJob {
-            contig: Cow::Owned(contig),
-            reads: Cow::Owned(reads),
-            k,
-            walk,
-            retry: Cow::Borrowed(retry),
-            dialect,
-            slot_reserve: 1,
-            probe: ProbeStrategy::default(),
-            layout: TableLayoutKind::default(),
-            resize: false,
-        }
+        let (contig, reads) = (Cow::Owned(contig), Cow::Owned(reads));
+        KernelJob::new(contig, reads, k, walk, Cow::Borrowed(retry), dialect)
     }
 
     /// A fully owned job with no outside borrows (tests, single-shot runs).
@@ -157,18 +161,8 @@ impl<'a> KernelJob<'a> {
         retry: RetryPolicy,
         dialect: Dialect,
     ) -> KernelJob<'static> {
-        KernelJob {
-            contig: Cow::Owned(contig),
-            reads: Cow::Owned(reads),
-            k,
-            walk,
-            retry: Cow::Owned(retry),
-            dialect,
-            slot_reserve: 1,
-            probe: ProbeStrategy::default(),
-            layout: TableLayoutKind::default(),
-            resize: false,
-        }
+        let (contig, reads) = (Cow::Owned(contig), Cow::Owned(reads));
+        KernelJob::new(contig, reads, k, walk, Cow::Owned(retry), dialect)
     }
 }
 

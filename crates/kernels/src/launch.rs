@@ -22,7 +22,7 @@ use gpu_specs::{
 };
 use locassm_core::io::Dataset;
 use locassm_core::walk::WalkConfig;
-use locassm_core::{bin_contigs, BinningPolicy, ExtensionResult, RetryPolicy};
+use locassm_core::{bin_contigs, BinningPolicy, ContigJob, ExtensionResult, Read, RetryPolicy};
 use simt::{
     launch_warps, AggCounters, ExecMode, FaultPlan, LaunchConfig, SanReport, SanitizerConfig,
     WarpCounters,
@@ -58,9 +58,9 @@ pub struct GpuConfig {
     pub trace: bool,
     /// Deterministic fault-injection plan threaded to every launch
     /// (`None`, the default, injects nothing). Plan job ids use the
-    /// run-global *job* numbering — batches × {right, left} × job order —
-    /// which is stable whether or not earlier jobs faulted (escalation
-    /// retries are not counted).
+    /// run-global *job* numbering that [`launch_plan`] defines, which is
+    /// stable whether or not earlier jobs faulted (escalation retries are
+    /// not counted).
     pub fault: Option<FaultPlan>,
     /// Warp sanitizer configuration, threaded to every launch (all checks
     /// off by default). The execution-ordering mode is dialect-dependent —
@@ -233,24 +233,21 @@ fn escalation_ladder(
 
 /// Serially retry one faulted job down its escalation ladder.
 ///
-/// Each attempt is a fresh single-warp launch (`parallel: false`) whose
-/// arena hint is recomputed for the grown slot reserve; the injection
-/// plan stays armed for attempt indices `0..plan.attempts` (the batch run
-/// was attempt 0), so a transient plan clears on the first retry while a
+/// Each attempt is a single-job [`launch`] at residency 1, its arena hint
+/// recomputed for the attempt's k and slot reserve; the injection plan
+/// stays armed for attempt indices `0..plan.attempts` (the batch run was
+/// attempt 0), so a transient plan clears on the first retry while a
 /// persistent one keeps faulting until the ladder is exhausted. Retry
-/// counters, traces and scheduled-replay slices merge into the run totals.
-#[allow(clippy::too_many_arguments)]
+/// counters, traces and scheduled-replay slices merge into the run
+/// totals, but retries push no [`BatchProfile`]: their modeled time is
+/// not yet charged to [`KernelProfile::seconds`].
 fn escalate_job(
     cfg: &GpuConfig,
     spec: &DeviceSpec,
     job: &KernelJob<'_>,
     victim_id: u64,
     first_fault: KernelFault,
-    traces: &mut Vec<simt::WarpTrace>,
-    total: &mut AggCounters,
-    phases: &mut PhaseCounters,
-    san: &mut SanReport,
-    sched_tracks: &mut Vec<simt::SmSlice>,
+    run: &mut RunTotals,
 ) -> (JobOutcome, Option<KernelOut>) {
     let mut fault = first_fault;
     let mut grown = matches!(fault, KernelFault::HashTableFull { .. });
@@ -265,46 +262,12 @@ fn escalate_job(
         let mut retry = job.clone();
         retry.k = k;
         retry.slot_reserve = reserve;
-        let retry_schedule = cfg.retry.schedule(k);
-        let arena_hint = arena_footprint(
-            retry.contig.len(),
-            &retry.reads,
-            &retry_schedule,
-            retry.walk,
-            reserve,
-            retry.layout,
-            retry.resize,
-        );
-        let armed = cfg.fault.is_some_and(|p| attempts < p.attempts);
-        let launch_cfg = LaunchConfig {
-            width: cfg.width,
-            hierarchy: effective_hierarchy(spec, 1),
-            parallel: false,
-            trace: cfg.trace,
-            pool: cfg.pool,
-            arena_hint,
-            fault: if armed { cfg.fault } else { None },
-            fault_base: victim_id,
-            sanitize: dialect_sanitizer(cfg.sanitize, cfg.dialect),
-            exec: cfg.exec,
-        };
-        let out = launch_warps(launch_cfg, std::slice::from_ref(&retry), run_extension);
-        for mut t in out.traces {
-            t.warp_id = traces.len() as u64;
-            traces.push(t);
-        }
-        for r in out.san {
-            san.merge(r);
-        }
-        total.merge(&out.counters);
+        let armed = cfg.fault.filter(|p| attempts < p.attempts);
         // Retries replay too (a single resident warp hides nothing), so
         // the run's scheduled profile and tracks cover every launched
         // instruction.
-        schedule_launch(spec, &out.timelines, 1, cfg.sched_tracks, false, phases, sched_tracks);
-        let instr = out.warp_instruction_counts;
-        let results = out.results;
-        fold_phases(phases, cfg.width, &results, &instr, &out.counters);
-        match results.into_iter().next() {
+        let launched = launch(cfg, spec, std::slice::from_ref(&retry), armed, victim_id, 1, run);
+        match launched.results.into_iter().next() {
             // A single-job launch always yields one result; an empty
             // result set would mean the engine dropped the job, which
             // escalation treats as exhausted rather than panicking.
@@ -326,6 +289,130 @@ fn escalate_job(
         }
     }
     (JobOutcome::Failed { fault, attempts }, None)
+}
+
+/// Everything a run accumulates across its launches, batch and retry
+/// alike (see [`GpuRunResult`] for the meaning of each field).
+#[derive(Default)]
+struct RunTotals {
+    total: AggCounters,
+    phases: PhaseCounters,
+    batches: Vec<BatchProfile>,
+    traces: Vec<simt::WarpTrace>,
+    san: SanReport,
+    sched_tracks: Vec<simt::SmSlice>,
+}
+
+/// One launch's per-job results and modeled cost.
+struct Launched {
+    /// Per-job results, in job order.
+    results: Vec<Result<KernelOut, KernelFault>>,
+    warps: u64,
+    time: TimeEstimate,
+}
+
+/// Launch `jobs` as one kernel call and fold it into `run`.
+///
+/// Host-side size estimation (Fig. 3) pre-sizes pooled arenas to the
+/// largest per-warp slab, so staging never regrows them; the launch gets
+/// an L2 share sized from its resident-warp count. `fault` is armed with
+/// `jobs[0]` at run-global job id `fault_base`. Warp traces are
+/// renumbered run-globally, sanitizer reports and counters merged, the
+/// counters split at the construct/walk boundary, and a `Scheduled`-mode
+/// launch replays its timelines at `residency` warps per SM. Pushing a
+/// [`BatchProfile`] is the caller's decision.
+fn launch(
+    cfg: &GpuConfig,
+    spec: &DeviceSpec,
+    jobs: &[KernelJob<'_>],
+    fault: Option<FaultPlan>,
+    fault_base: u64,
+    residency: u32,
+    run: &mut RunTotals,
+) -> Launched {
+    let arena_hint = jobs
+        .iter()
+        .map(|j| {
+            arena_footprint(
+                j.contig.len(),
+                &j.reads,
+                &j.retry.schedule(j.k),
+                j.walk,
+                j.slot_reserve,
+                j.layout,
+                j.resize,
+            )
+        })
+        .max()
+        .unwrap_or(0);
+    let launch_cfg = LaunchConfig {
+        width: cfg.width,
+        hierarchy: effective_hierarchy(spec, jobs.len() as u64),
+        parallel: cfg.parallel,
+        trace: cfg.trace,
+        pool: cfg.pool,
+        arena_hint,
+        fault,
+        fault_base,
+        sanitize: dialect_sanitizer(cfg.sanitize, cfg.dialect),
+        exec: cfg.exec,
+    };
+    let out = launch_warps(launch_cfg, jobs, run_extension);
+    for mut t in out.traces {
+        t.warp_id = run.traces.len() as u64;
+        run.traces.push(t);
+    }
+    for r in out.san {
+        run.san.merge(r);
+    }
+    run.total.merge(&out.counters);
+
+    // Phase split: construct snapshots summed; walk = total − construct.
+    // The walk phase's critical path (max_warp_instructions) is
+    // attributed per warp: each warp's walk segment is its total
+    // instruction stream minus its construct-boundary snapshot.
+    let (construct, walk_agg) = fold_phases(
+        &mut run.phases,
+        cfg.width,
+        &out.results,
+        &out.warp_instruction_counts,
+        &out.counters,
+    );
+    // Scheduled replay: interleave the recorded warp timelines through
+    // per-SM issue ports. Non-Scheduled runs record no timelines and skip
+    // this entirely.
+    let sched = schedule_launch(
+        spec,
+        &out.timelines,
+        residency,
+        cfg.sched_tracks,
+        cfg.parallel,
+        &mut run.phases,
+        &mut run.sched_tracks,
+    );
+
+    // Per-phase timing: construction overlaps memory at the device's MLP;
+    // the mer-walk is a single-lane dependence chain (MLP ≈ 1).
+    let t_construct = TimeEstimate::estimate(spec, &ModelParams::from_counters(&construct));
+    let mut t_walk =
+        TimeEstimate::estimate_with_mlp(spec, &ModelParams::from_counters(&walk_agg), 1.0);
+    if let Some(r) = &sched {
+        // Replace the analytic walk latency term with the replay's
+        // measured un-hidden stall time.
+        t_walk = t_walk.with_latency_override(walk_latency_override(r));
+    }
+    let time = TimeEstimate {
+        seconds: t_construct.seconds + t_walk.seconds,
+        compute_seconds: t_construct.compute_seconds + t_walk.compute_seconds,
+        bandwidth_seconds: t_construct.bandwidth_seconds + t_walk.bandwidth_seconds,
+        latency_seconds: t_construct.latency_seconds + t_walk.latency_seconds,
+        bound: if t_construct.seconds >= t_walk.seconds {
+            t_construct.bound
+        } else {
+            t_walk.bound
+        },
+    };
+    Launched { results: out.results, warps: out.counters.warps, time }
 }
 
 /// Replay a `Scheduled`-mode launch's recorded timelines through the
@@ -414,253 +501,158 @@ fn fold_phases(
     (construct, walk_agg)
 }
 
+/// Which end of its contig a kernel job extends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The right extension kernel, run first (Fig. 3).
+    Right,
+    /// The left extension kernel, run on the reverse complement.
+    Left,
+}
+
+impl Side {
+    /// The reads this side's kernel consumes.
+    pub fn reads(self, job: &ContigJob) -> &[Read] {
+        match self {
+            Side::Right => &job.right_reads,
+            Side::Left => &job.left_reads,
+        }
+    }
+
+    /// Whether the host launches this side of `job` under the retry
+    /// `schedule` (primary k first): a side with no reads, or on a contig
+    /// shorter than the smallest k it could retry at, has no work under
+    /// any k and is skipped. The launch engine and the service's packing
+    /// cost both apply this one rule.
+    pub fn launches(self, job: &ContigJob, schedule: &[usize]) -> bool {
+        !self.reads(job).is_empty()
+            && schedule.iter().min().is_some_and(|&min_k| job.contig.len() >= min_k)
+    }
+}
+
+/// One kernel launch of a run, in [`launch_plan`] order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlannedLaunch {
+    /// Binning band of the batch the launch belongs to.
+    pub band: usize,
+    /// The extension side every job of the launch runs.
+    pub side: Side,
+    /// Dataset indices of the launched jobs, in job order.
+    pub jobs: Vec<usize>,
+}
+
+/// The run's launches in order: binned batches × {right, left} × chunks
+/// of at most [`GpuConfig::max_batch`] jobs, each side holding only the
+/// contigs [`Side::launches`] admits.
+///
+/// This is the one owner of *run-global job numbering*, the id space
+/// fault plans target: job `n` is the `n`-th entry of the flattened
+/// `jobs` lists. Escalation retries are not numbered, so ids are stable
+/// whether or not earlier jobs faulted, and chunking leaves them
+/// unchanged.
+pub fn launch_plan(ds: &Dataset, cfg: &GpuConfig) -> Vec<PlannedLaunch> {
+    let schedule = cfg.retry.schedule(ds.k);
+    let chunk_len = cfg.max_batch.unwrap_or(usize::MAX).max(1);
+    let mut plan = Vec::new();
+    for batch in bin_contigs(&ds.jobs, cfg.binning) {
+        for side in [Side::Right, Side::Left] {
+            let jobs: Vec<usize> = batch
+                .jobs
+                .iter()
+                .copied()
+                .filter(|&idx| side.launches(&ds.jobs[idx], &schedule))
+                .collect();
+            plan.extend(
+                jobs.chunks(chunk_len)
+                    .map(|c| PlannedLaunch { band: batch.band, side, jobs: c.to_vec() }),
+            );
+        }
+    }
+    plan
+}
+
+/// The plan's launched jobs as `(dataset index, side)`, in run-global
+/// job-id order: a job's id is its position in this sequence.
+pub fn numbered_jobs(plan: &[PlannedLaunch]) -> impl Iterator<Item = (usize, Side)> + '_ {
+    plan.iter().flat_map(|l| l.jobs.iter().map(move |&idx| (idx, l.side)))
+}
+
+/// The kernel job for one side of a contig, carrying the run's tuned
+/// knobs: base table reserve, probe strategy, table layout and resize
+/// (escalation grows the reserve further).
+fn side_job<'a>(j: &'a ContigJob, side: Side, k: usize, cfg: &'a GpuConfig) -> KernelJob<'a> {
+    let mut job = match side {
+        // Zero-copy: borrow sequence data from the dataset.
+        Side::Right => {
+            KernelJob::borrowed(&j.contig, &j.right_reads, k, cfg.walk, &cfg.retry, cfg.dialect)
+        }
+        // Left walks run on the reverse complement: the transform owns
+        // its (genuinely new) storage.
+        Side::Left => {
+            let t = j.left_as_right();
+            KernelJob::transformed(t.contig, t.right_reads, k, cfg.walk, &cfg.retry, cfg.dialect)
+        }
+    };
+    job.slot_reserve = cfg.slot_reserve.max(1);
+    job.probe = cfg.probe;
+    job.layout = cfg.layout;
+    job.resize = cfg.resize;
+    job
+}
+
 /// Run the full local assembly pipeline for a dataset on a simulated GPU.
 pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
     let spec = cfg.spec();
-    let k = ds.k;
-
-    let batches = bin_contigs(&ds.jobs, cfg.binning);
-
-    let mut total = AggCounters::default();
-    let mut phases = PhaseCounters::default();
-    let mut batch_profiles = Vec::new();
-    let mut traces: Vec<simt::WarpTrace> = Vec::new();
-    // Run-global job numbering (batches × {right, left} × job order) —
-    // the id space fault plans target. Escalation retries are not
-    // counted, so ids are stable whether or not earlier jobs faulted.
-    let mut jobs_launched: u64 = 0;
+    let mut run = RunTotals::default();
     let mut outcomes: Vec<JobOutcome> = vec![JobOutcome::Ok; ds.jobs.len()];
-    let mut san = SanReport::default();
-    let mut sched_tracks: Vec<simt::SmSlice> = Vec::new();
-    let sanitize = dialect_sanitizer(cfg.sanitize, cfg.dialect);
-
     // Results indexed by job position.
     let mut right: Vec<(Vec<u8>, locassm_core::WalkState)> =
         vec![(Vec::new(), locassm_core::WalkState::End); ds.jobs.len()];
     let mut left = right.clone();
 
-    // Retry schedule and side-skip threshold are launch-invariant: hoist
-    // them out of the per-job loop (the schedule allocates a Vec).
-    let schedule = cfg.retry.schedule(k);
-    let min_k = schedule.iter().copied().min().unwrap_or(k);
+    // Right extension kernel, then left extension kernel, per batch
+    // (Fig. 3); `next_id` walks the plan's run-global job numbering.
+    let mut next_id = 0u64;
+    for planned in launch_plan(ds, cfg) {
+        let jobs: Vec<KernelJob<'_>> = planned
+            .jobs
+            .iter()
+            .map(|&idx| side_job(&ds.jobs[idx], planned.side, ds.k, cfg))
+            .collect();
+        let base = next_id;
+        next_id += jobs.len() as u64;
+        // Replay at the residency the launch's staged footprint supports
+        // in its L2 share.
+        let footprint = jobs
+            .iter()
+            .map(|j| {
+                let (len, reserve) = (j.contig.len(), j.slot_reserve);
+                stage_footprint(len, &j.reads, j.k, j.walk, reserve, j.layout, j.resize)
+            })
+            .max()
+            .unwrap_or(0);
+        let residency = scheduled_residency(spec, footprint);
+        let launched = launch(cfg, spec, &jobs, cfg.fault, base, residency, &mut run);
+        let (band, warps, time) = (planned.band, launched.warps, launched.time);
+        run.batches.push(BatchProfile { band, warps, time });
 
-    for batch in &batches {
-        // Right extension kernel, then left extension kernel (Fig. 3).
-        for side in [Side::Right, Side::Left] {
-            let mut indices: Vec<usize> = Vec::with_capacity(batch.jobs.len());
-            let mut kernel_jobs: Vec<KernelJob<'_>> = Vec::with_capacity(batch.jobs.len());
-            for &idx in &batch.jobs {
-                let j = &ds.jobs[idx];
-                // The host skips contigs with no work for this side under
-                // any k in the retry schedule.
-                let job = match side {
-                    Side::Right => {
-                        if j.contig.len() < min_k || j.right_reads.is_empty() {
-                            continue;
-                        }
-                        // Zero-copy: borrow sequence data from the dataset.
-                        KernelJob::borrowed(
-                            &j.contig,
-                            &j.right_reads,
-                            k,
-                            cfg.walk,
-                            &cfg.retry,
-                            cfg.dialect,
-                        )
-                    }
-                    Side::Left => {
-                        if j.contig.len() < min_k || j.left_reads.is_empty() {
-                            continue;
-                        }
-                        // Left walks run on the reverse complement: the
-                        // transform owns its (genuinely new) storage.
-                        let t = j.left_as_right();
-                        KernelJob::transformed(
-                            t.contig,
-                            t.right_reads,
-                            k,
-                            cfg.walk,
-                            &cfg.retry,
-                            cfg.dialect,
-                        )
-                    }
-                };
-                // Tuned knobs ride on the job: base table reserve, probe
-                // strategy and table layout (escalation grows the reserve
-                // further).
-                let mut job = job;
-                job.slot_reserve = cfg.slot_reserve.max(1);
-                job.probe = cfg.probe;
-                job.layout = cfg.layout;
-                job.resize = cfg.resize;
-                indices.push(idx);
-                kernel_jobs.push(job);
-            }
-            if kernel_jobs.is_empty() {
-                continue;
-            }
-
-            // Optional launch cap (an autotuner dimension): split the side
-            // into chunks of at most `max_batch` jobs, launched in job
-            // order, so run-global job/fault ids match the unchunked
-            // numbering. Each chunk sizes its own L2 share from its
-            // resident-warp count.
-            let chunk_len =
-                cfg.max_batch.unwrap_or(usize::MAX).clamp(1, kernel_jobs.len());
-            for chunk_start in (0..kernel_jobs.len()).step_by(chunk_len) {
-                let chunk_end = (chunk_start + chunk_len).min(kernel_jobs.len());
-                let jobs_chunk = &kernel_jobs[chunk_start..chunk_end];
-                let idx_chunk = &indices[chunk_start..chunk_end];
-
-                // Host-side size estimation (Fig. 3): pre-size pooled arenas to
-                // the largest per-warp slab so staging never regrows them.
-                let arena_hint = jobs_chunk
-                    .iter()
-                    .map(|j| {
-                        arena_footprint(
-                            j.contig.len(),
-                            &j.reads,
-                            &schedule,
-                            j.walk,
-                            j.slot_reserve,
-                            j.layout,
-                            j.resize,
-                        )
-                    })
-                    .max()
-                    .unwrap_or(0);
-                let hierarchy = effective_hierarchy(spec, jobs_chunk.len() as u64);
-                let side_base = jobs_launched;
-                let launch_cfg = LaunchConfig {
-                    width: cfg.width,
-                    hierarchy,
-                    parallel: cfg.parallel,
-                    trace: cfg.trace,
-                    pool: cfg.pool,
-                    arena_hint,
-                    fault: cfg.fault,
-                    fault_base: side_base,
-                    sanitize,
-                    exec: cfg.exec,
-                };
-                let out = launch_warps(launch_cfg, jobs_chunk, run_extension);
-                jobs_launched += jobs_chunk.len() as u64;
-                // Re-number warp ids to be unique across batches and sides.
-                for mut t in out.traces {
-                    t.warp_id = traces.len() as u64;
-                    traces.push(t);
+        for (local, (&idx, r)) in planned.jobs.iter().zip(launched.results).enumerate() {
+            let (outcome, o) = match r {
+                Ok(o) => (JobOutcome::Ok, Some(o)),
+                // Per-job isolation: one faulting job degrades to an
+                // outcome; the rest of the launch already ran to
+                // completion untouched.
+                Err(fault) => {
+                    let id = base + local as u64;
+                    escalate_job(cfg, spec, &jobs[local], id, fault, &mut run)
                 }
-                for r in out.san {
-                    san.merge(r);
-                }
-
-                // Phase split: construct snapshots summed; walk = total − construct.
-                // The walk phase's critical path (max_warp_instructions) is
-                // attributed per warp: each warp's walk segment is its total
-                // instruction stream minus its construct-boundary snapshot.
-                let (construct, walk_agg) = fold_phases(
-                    &mut phases,
-                    cfg.width,
-                    &out.results,
-                    &out.warp_instruction_counts,
-                    &out.counters,
-                );
-
-                // Scheduled replay: interleave the recorded warp timelines
-                // through per-SM issue ports at a residency the chunk's
-                // staged footprint supports in its L2 share. Non-Scheduled
-                // runs record no timelines and skip this entirely.
-                let sched = {
-                    let footprint = jobs_chunk
-                        .iter()
-                        .map(|j| {
-                            stage_footprint(
-                                j.contig.len(),
-                                &j.reads,
-                                j.k,
-                                j.walk,
-                                j.slot_reserve,
-                                j.layout,
-                                j.resize,
-                            )
-                        })
-                        .max()
-                        .unwrap_or(0);
-                    schedule_launch(
-                        spec,
-                        &out.timelines,
-                        scheduled_residency(spec, footprint),
-                        cfg.sched_tracks,
-                        cfg.parallel,
-                        &mut phases,
-                        &mut sched_tracks,
-                    )
-                };
-
-                // Per-phase timing: construction overlaps memory at the
-                // device's MLP; the mer-walk is a single-lane dependence chain
-                // (MLP ≈ 1).
-                let t_construct =
-                    TimeEstimate::estimate(spec, &ModelParams::from_counters(&construct));
-                let mut t_walk = TimeEstimate::estimate_with_mlp(
-                    spec,
-                    &ModelParams::from_counters(&walk_agg),
-                    1.0,
-                );
-                if let Some(r) = &sched {
-                    // Replace the analytic walk latency term with the
-                    // replay's measured un-hidden stall time.
-                    t_walk = t_walk.with_latency_override(walk_latency_override(r));
-                }
-                let time = TimeEstimate {
-                    seconds: t_construct.seconds + t_walk.seconds,
-                    compute_seconds: t_construct.compute_seconds + t_walk.compute_seconds,
-                    bandwidth_seconds: t_construct.bandwidth_seconds + t_walk.bandwidth_seconds,
-                    latency_seconds: t_construct.latency_seconds + t_walk.latency_seconds,
-                    bound: if t_construct.seconds >= t_walk.seconds {
-                        t_construct.bound
-                    } else {
-                        t_walk.bound
-                    },
-                };
-                batch_profiles.push(BatchProfile {
-                    band: batch.band,
-                    warps: out.counters.warps,
-                    time,
-                });
-                total.merge(&out.counters);
-
-                for (local, (&idx, r)) in idx_chunk.iter().zip(out.results).enumerate() {
-                    let (outcome, o) = match r {
-                        Ok(o) => (JobOutcome::Ok, Some(o)),
-                        Err(fault) => {
-                            // Per-job isolation: one faulting job degrades to
-                            // an outcome; the rest of the batch already ran
-                            // to completion untouched.
-                            escalate_job(
-                                cfg,
-                                spec,
-                                &jobs_chunk[local],
-                                side_base + local as u64,
-                                fault,
-                                &mut traces,
-                                &mut total,
-                                &mut phases,
-                                &mut san,
-                                &mut sched_tracks,
-                            )
-                        }
-                    };
-                    outcomes[idx] = outcomes[idx].combine(outcome);
-                    let Some(o) = o else { continue };
-                    match side {
-                        Side::Right => right[idx] = (o.extension, o.state),
-                        Side::Left => {
-                            // Left walks ran on the reverse complement.
-                            left[idx] = (locassm_core::revcomp(&o.extension), o.state);
-                        }
-                    }
-                }
+            };
+            outcomes[idx] = outcomes[idx].combine(outcome);
+            let Some(o) = o else { continue };
+            match planned.side {
+                Side::Right => right[idx] = (o.extension, o.state),
+                // Left walks ran on the reverse complement.
+                Side::Left => left[idx] = (locassm_core::revcomp(&o.extension), o.state),
             }
         }
     }
@@ -678,27 +670,22 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
         })
         .collect();
 
+    let RunTotals { total, phases, batches, traces, san, sched_tracks } = run;
     GpuRunResult {
         extensions,
         profile: KernelProfile {
             device: cfg.device,
             dialect: cfg.dialect,
-            k,
+            k: ds.k,
             total,
             phases,
-            batches: batch_profiles,
+            batches,
         },
         traces,
         outcomes,
         san,
         sched_tracks,
     }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Side {
-    Right,
-    Left,
 }
 
 /// Aggregate difference (total − construct) for phase attribution.
@@ -744,6 +731,7 @@ fn diff_agg(total: &AggCounters, part: &AggCounters, max_walk_instructions: u64)
         mem: total.mem.since(&part.mem),
     }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -925,32 +913,11 @@ mod tests {
         }
     }
 
-    /// Map a run-global fault-plan job id back to `(dataset index,
-    /// is_right_side)`, replaying the host's launch-order numbering.
-    fn dataset_index_of(ds: &Dataset, cfg: &GpuConfig, victim: u64) -> (usize, bool) {
-        let schedule = cfg.retry.schedule(ds.k);
-        let min_k = schedule.iter().copied().min().unwrap_or(ds.k);
-        let mut id = 0u64;
-        for batch in &bin_contigs(&ds.jobs, cfg.binning) {
-            for side in 0..2 {
-                for &idx in &batch.jobs {
-                    let j = &ds.jobs[idx];
-                    if j.contig.len() < min_k {
-                        continue;
-                    }
-                    let reads =
-                        if side == 0 { &j.right_reads } else { &j.left_reads };
-                    if reads.is_empty() {
-                        continue;
-                    }
-                    if id == victim {
-                        return (idx, side == 0);
-                    }
-                    id += 1;
-                }
-            }
-        }
-        panic!("victim id {victim} exceeds the run's job count");
+    /// `(dataset index, side)` of a run-global fault-plan job id.
+    fn victim_of(ds: &Dataset, cfg: &GpuConfig, victim: u64) -> (usize, Side) {
+        let plan = launch_plan(ds, cfg);
+        let found = numbered_jobs(&plan).nth(victim as usize);
+        found.expect("victim id within the run's job count")
     }
 
     /// The tentpole acceptance scenario: inject a table-full fault into
@@ -971,7 +938,7 @@ mod tests {
                 let faulted = run_local_assembly(&ds, &cfg);
 
                 let tag = format!("{device} parallel={parallel}");
-                let (victim_idx, _) = dataset_index_of(&ds, &cfg, VICTIM);
+                let (victim_idx, _) = victim_of(&ds, &cfg, VICTIM);
                 for (i, (c, f)) in
                     clean.extensions.iter().zip(&faulted.extensions).enumerate()
                 {
@@ -1017,7 +984,7 @@ mod tests {
         cfg.retry = RetryPolicy::ladder(ds.k);
         cfg.fault = Some(FaultPlan::table_full(VICTIM).persist(2));
         let r = run_local_assembly(&ds, &cfg);
-        let (victim_idx, is_right) = dataset_index_of(&ds, &cfg, VICTIM);
+        let (victim_idx, side) = victim_of(&ds, &cfg, VICTIM);
         assert_eq!(
             r.outcomes[victim_idx],
             JobOutcome::Recovered { attempts: 2 },
@@ -1034,7 +1001,7 @@ mod tests {
             &AssemblyConfig { k: fallback_k, walk: cfg.walk, retry: cfg.retry.clone() },
             true,
         );
-        let (got, want) = if is_right {
+        let (got, want) = if side == Side::Right {
             (&r.extensions[victim_idx].right, &cpu[0].right)
         } else {
             (&r.extensions[victim_idx].left, &cpu[0].left)
@@ -1055,7 +1022,7 @@ mod tests {
         let clean = run_local_assembly(&ds, &cfg);
         cfg.fault = Some(FaultPlan::table_full(VICTIM).persist(u32::MAX));
         let r = run_local_assembly(&ds, &cfg);
-        let (victim_idx, is_right) = dataset_index_of(&ds, &cfg, VICTIM);
+        let (victim_idx, side) = victim_of(&ds, &cfg, VICTIM);
         match r.outcomes[victim_idx] {
             JobOutcome::Failed { fault: KernelFault::HashTableFull { .. }, attempts } => {
                 assert!(
@@ -1066,7 +1033,7 @@ mod tests {
             other => panic!("expected Failed(HashTableFull), got {other:?}"),
         }
         assert!(!r.outcomes[victim_idx].succeeded());
-        let failed_side = if is_right {
+        let failed_side = if side == Side::Right {
             &r.extensions[victim_idx].right
         } else {
             &r.extensions[victim_idx].left
@@ -1093,7 +1060,7 @@ mod tests {
         {
             cfg.fault = Some(plan);
             let r = run_local_assembly(&ds, &cfg);
-            let (victim_idx, _) = dataset_index_of(&ds, &cfg, VICTIM);
+            let (victim_idx, _) = victim_of(&ds, &cfg, VICTIM);
             assert_eq!(r.extensions, clean.extensions, "recovery is exact");
             assert_eq!(r.outcomes[victim_idx], JobOutcome::Recovered { attempts: 1 });
         }

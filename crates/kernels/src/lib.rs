@@ -38,7 +38,10 @@ pub mod walk;
 
 pub use fault::{JobOutcome, KernelFault};
 pub use kernel::Dialect;
-pub use launch::{dialect_sanitizer, run_local_assembly, GpuConfig, GpuRunResult};
+pub use launch::{
+    dialect_sanitizer, launch_plan, numbered_jobs, run_local_assembly, GpuConfig, GpuRunResult,
+    PlannedLaunch, Side,
+};
 pub use probe::ProbeStrategy;
 pub use resize::{ensure_capacity, ht_delete, MAX_RESIZES};
 pub use table::{TableGeometry, TableLayout, TableLayoutKind, TOMBSTONE};

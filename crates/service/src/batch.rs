@@ -11,9 +11,9 @@
 //! Packing is therefore device-aware without duplicating any sizing
 //! logic: the service asks the exact function the launch path uses.
 
-use locassm_core::{ContigJob, Read};
+use locassm_core::ContigJob;
 use locassm_kernels::layout::arena_footprint;
-use locassm_kernels::GpuConfig;
+use locassm_kernels::{GpuConfig, Side};
 
 /// Limits on one packed batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,17 +46,18 @@ impl BatchPolicy {
 /// summed over every k in the retry schedule — the packing cost used
 /// against [`BatchPolicy::byte_budget`].
 ///
-/// Sides the launch engine would skip (no reads) cost nothing; the left
-/// side walks the reverse complement, whose lengths match the forward
-/// reads, so the forward footprint is exact for both.
+/// Sides the launch engine skips ([`Side::launches`]: no reads, or a
+/// contig shorter than every scheduled k) cost nothing; the left side
+/// walks the reverse complement, whose lengths match the forward reads,
+/// so the forward footprint is exact for both.
 pub fn request_footprint(job: &ContigJob, schedule: &[usize], gpu: &GpuConfig) -> u64 {
-    let side = |reads: &[Read]| -> u64 {
-        if reads.is_empty() {
+    let cost = |side: Side| -> u64 {
+        if !side.launches(job, schedule) {
             return 0;
         }
         arena_footprint(
             job.contig.len(),
-            reads,
+            side.reads(job),
             schedule,
             gpu.walk,
             gpu.slot_reserve.max(1),
@@ -64,14 +65,14 @@ pub fn request_footprint(job: &ContigJob, schedule: &[usize], gpu: &GpuConfig) -
             gpu.resize,
         )
     };
-    side(&job.right_reads) + side(&job.left_reads)
+    cost(Side::Right) + cost(Side::Left)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_specs::DeviceId;
-    use locassm_kernels::GpuConfig;
+    use locassm_core::Read;
 
     fn cfg() -> GpuConfig {
         GpuConfig::for_device(DeviceId::A100)
@@ -97,6 +98,16 @@ mod tests {
         assert_eq!(both, 2 * right_only, "symmetric sides cost the same");
         assert_eq!(none, 0, "a read-free request stages nothing");
         assert!(right_only > 0);
+    }
+
+    /// A contig shorter than every scheduled k never launches, so it
+    /// stages nothing even with reads on both sides.
+    #[test]
+    fn footprint_skips_contigs_shorter_than_every_k() {
+        let short = job(2, 2);
+        assert_eq!(short.contig.len(), 16);
+        assert_eq!(request_footprint(&short, &[21], &cfg()), 0);
+        assert!(request_footprint(&short, &[21, 13], &cfg()) > 0, "k=13 fits");
     }
 
     #[test]

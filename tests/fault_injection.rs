@@ -5,8 +5,13 @@
 
 use gpu_specs::DeviceId;
 use locassm_core::io::Dataset;
-use locassm_core::{assemble_all, bin_contigs, AssemblyConfig, ContigJob, Read, RetryPolicy};
-use locassm_kernels::{run_local_assembly, GpuConfig, GpuRunResult, JobOutcome, KernelFault};
+use locassm_core::{
+    assemble_all, bin_contigs, AssemblyConfig, BinningPolicy, ContigJob, Read, RetryPolicy,
+};
+use locassm_kernels::{
+    launch_plan, numbered_jobs, run_local_assembly, GpuConfig, GpuRunResult, JobOutcome,
+    KernelFault, Side,
+};
 use proptest::prelude::*;
 use simt::FaultPlan;
 use std::sync::OnceLock;
@@ -56,6 +61,49 @@ fn launched_jobs(ds: &Dataset, cfg: &GpuConfig) -> Vec<(usize, bool)> {
         }
     }
     out
+}
+
+/// The engine's launch plan numbers exactly the jobs the reference above
+/// replays, under every binning policy, with and without the k-ladder and
+/// launch chunking, on a dataset that also holds a contig shorter than
+/// the smallest ladder k and a contig with no left reads.
+#[test]
+fn launch_plan_numbers_jobs_like_the_reference() {
+    let mut jobs = dataset().jobs.clone();
+    let n = jobs.len();
+    let mut short = jobs[0].clone();
+    short.id = n as u32;
+    short.contig.truncate(10);
+    let mut right_only = jobs[1].clone();
+    right_only.id = n as u32 + 1;
+    right_only.left_reads.clear();
+    jobs.extend([short, right_only]);
+    let ds = Dataset::new(21, jobs);
+    let retries = [RetryPolicy::none(), RetryPolicy::ladder(21)];
+    assert!(retries.iter().all(|r| r.schedule(21).iter().all(|&k| k > 10)));
+    for binning in [BinningPolicy::PowerOfTwo, BinningPolicy::FixedSize(3), BinningPolicy::Single]
+    {
+        for retry in &retries {
+            for max_batch in [None, Some(2)] {
+                let mut cfg = config(retry.clone());
+                cfg.binning = binning;
+                cfg.max_batch = max_batch;
+                let plan = launch_plan(&ds, &cfg);
+                let flat: Vec<(usize, bool)> =
+                    numbered_jobs(&plan).map(|(idx, side)| (idx, side == Side::Right)).collect();
+                let tag = format!("{binning:?} {:?} max_batch={max_batch:?}", retry.fallback_ks);
+                assert_eq!(flat, launched_jobs(&ds, &cfg), "{tag}");
+                assert!(!flat.iter().any(|&(idx, _)| idx == n), "{tag}: short contig skipped");
+                assert_eq!(
+                    flat.iter().filter(|&&(idx, _)| idx == n + 1).count(),
+                    1,
+                    "{tag}: only the right side of the left-less contig launches"
+                );
+                let cap = max_batch.unwrap_or(usize::MAX);
+                assert!(plan.iter().all(|l| (1..=cap).contains(&l.jobs.len())), "{tag}: sizes");
+            }
+        }
+    }
 }
 
 /// The run-global job id a plan targets (every plan here targets one).
