@@ -27,7 +27,6 @@ pub mod insert_sycl;
 pub mod kernel;
 pub mod launch;
 pub mod multi_gpu;
-pub mod pipeline;
 pub mod layout;
 pub mod probe;
 pub mod profile;
@@ -43,9 +42,8 @@ pub use launch::{
     PlannedLaunch, Side,
 };
 pub use probe::ProbeStrategy;
-pub use resize::{ensure_capacity, ht_delete, MAX_RESIZES};
-pub use table::{TableGeometry, TableLayout, TableLayoutKind, TOMBSTONE};
+pub use resize::{ensure_capacity, MAX_RESIZES};
+pub use table::{TableGeometry, TableLayout, TableLayoutKind};
 pub use tune::{tune, tune_with, TuneSpace, TunedChoice};
 pub use multi_gpu::{run_multi_gpu, MultiGpuResult, Partition};
-pub use pipeline::{run_pipeline_gpu, GpuPipelineResult, GpuRoundReport};
 pub use profile::{KernelProfile, PhaseCounters, PhaseStats, SchedProfile, TraceProfile};

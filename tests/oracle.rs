@@ -129,3 +129,32 @@ fn retry_ladder_rescues_thin_coverage() {
     let gpu = run_local_assembly(&ds, &cfg);
     assert_eq!(gpu.extensions[0], rescued);
 }
+
+/// The iterative workflow (Fig. 2) feeds each round's extended contigs to
+/// the next k. Starting from the contigs the CPU pipeline leaves after its
+/// k = 21 round, the GPU's k = 33 round must equal the CPU oracle, and
+/// applying its extensions must reproduce the CPU pipeline's two-round
+/// contigs.
+#[test]
+fn second_round_on_extended_contigs_matches_cpu() {
+    use locassm::core::io::Dataset;
+    use locassm::core::pipeline::run_pipeline;
+    let jobs = paper_dataset(21, 0.001, 55).jobs;
+    let cfg = GpuConfig::for_device(DeviceId::A100);
+    let round1 = run_pipeline(&jobs, &[21], cfg.walk, true);
+    assert!(round1.rounds[0].contigs_extended > 0, "round one must extend something");
+    let mut next = jobs.clone();
+    for (job, contig) in next.iter_mut().zip(round1.contigs) {
+        job.contig = contig;
+    }
+
+    let ds = Dataset::new(33, next);
+    let gpu = run_local_assembly(&ds, &cfg);
+    let oracle = AssemblyConfig { k: 33, walk: cfg.walk, retry: cfg.retry.clone() };
+    assert_eq!(gpu.extensions, assemble_all(&ds.jobs, &oracle, true));
+
+    let both = run_pipeline(&jobs, &[21, 33], cfg.walk, true);
+    let applied: Vec<_> =
+        ds.jobs.iter().zip(&gpu.extensions).map(|(j, e)| e.apply(&j.contig)).collect();
+    assert_eq!(applied, both.contigs, "round-by-round contigs must agree");
+}
