@@ -20,9 +20,9 @@
 
 use gpu_specs::DeviceId;
 use locassm_core::io::Dataset;
-use locassm_core::{ContigJob, Read};
 use locassm_kernels::{run_local_assembly, GpuConfig, JobOutcome};
 use simt::FaultPlan;
+use workloads::long_tail_dataset;
 
 /// One recovery-discipline run under one squeeze divisor.
 #[derive(Debug, Clone, Copy)]
@@ -64,31 +64,6 @@ pub struct ResizeReport {
     pub clean_seconds: f64,
     /// One row per squeeze divisor, ascending.
     pub rows: Vec<ResizeRow>,
-}
-
-/// A deterministic pseudo-random DNA sequence (fixed data, no RNG): its
-/// k-mers are effectively all distinct, so the squeezed table's overflow
-/// behaviour is predictable.
-fn scrambled_seq(len: usize) -> Vec<u8> {
-    let mut x = 0x2545_f491u32;
-    (0..len)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            b"ACGT"[(x % 4) as usize]
-        })
-        .collect()
-}
-
-/// One contig whose single right read carries ~`n_kmers` distinct k-mers
-/// — the minimal long-tail job whose hash table genuinely fills up when
-/// its host-side slot estimate is violated.
-fn long_tail_dataset(k: usize, n_kmers: usize) -> Dataset {
-    let seq = scrambled_seq(n_kmers + k - 1);
-    let contig = seq[..k.max(8)].to_vec();
-    let job = ContigJob::new(0, contig, vec![Read::with_uniform_qual(&seq, b'I')], vec![]);
-    Dataset::new(k, vec![job])
 }
 
 fn arm_run(ds: &Dataset, device: DeviceId, divisor: Option<u32>, resize: bool) -> ArmRun {

@@ -9,43 +9,28 @@
 //! structure this transcription reproduces.
 
 use crate::fault::KernelFault;
-use crate::layout::{table_occupancy, DeviceJob, EMPTY};
+use crate::layout::DeviceJob;
 use crate::probe::{
-    advance, bucket_crossing_vote, cas_claim, compare_stored_keys, publish_key, start_slots,
-    InsertArgs, SlotVec,
+    advance, begin_insert, bucket_crossing_vote, cas_claim, compare_stored_keys, probe_wrapped,
+    publish_key, split_claims, unmatched, InsertArgs, SlotVec,
 };
-use crate::resize::ensure_capacity;
-use simt::{LaneVec, Mask, Warp};
+use simt::{LaneVec, Warp};
 
 /// Find-or-claim the entry for each active lane's k-mer. Returns the slot
 /// index per lane, or `HashTableFull` if a probe chain wraps the table.
 ///
-/// The wrap guard is uniform across the three dialects: a chain may probe
-/// at most the layout's probe bound (one full wrap of the probe sequence —
-/// `job.slots` rounds for linear probing, the listings'
-/// `hash_val == orig_hash` condition; two buckets for the bucketed layout;
-/// front bucket + backyard for iceberg); the round that would revisit its
-/// origin faults instead. A successful insert never needs more rounds, so
-/// fault-free runs are unaffected.
-///
-/// With [`DeviceJob::resize`] armed, the warp checks the layout's
-/// high-water mark before probing and migrates into a grown region first
-/// (see [`crate::resize`]).
+/// The entry (injected-fault check, resize high-water check, probe bound)
+/// and the wrap exit are shared by the three dialects
+/// ([`begin_insert`], [`probe_wrapped`]): a chain may probe at most the
+/// layout's probe bound, and the round that would revisit its origin
+/// faults instead.
 pub fn ht_get_atomic(
     warp: &mut Warp,
     job: &mut DeviceJob,
     args: &InsertArgs,
 ) -> Result<SlotVec, KernelFault> {
-    if warp.injected_faults().table_full {
-        return Err(KernelFault::HashTableFull {
-            capacity: job.slots,
-            occupancy: table_occupancy(warp, job),
-        });
-    }
-    ensure_capacity(warp, job, args.mask.count())?;
+    let (probe_bound, mut slot) = begin_insert(warp, job, args)?;
     let warp_width = warp.width();
-    let probe_bound = job.layout.as_layout().probe_bound(job);
-    let mut slot = start_slots(warp, job, args);
     let mut searching = args.mask;
 
     // The CUDA listing detects `hash_val == orig_hash` after wrapping and
@@ -55,11 +40,7 @@ pub fn ht_get_atomic(
     while !searching.is_empty() {
         rounds += 1;
         if rounds > probe_bound {
-            warp.san_record(simt::SanKind::ProbeWrap { rounds, slots: job.slots });
-            return Err(KernelFault::HashTableFull {
-                capacity: job.slots,
-                occupancy: table_occupancy(warp, job),
-            });
+            return Err(probe_wrapped(warp, job, rounds));
         }
         // prev = atomicCAS(&ht[hash].key.length, EMPTY, len)
         let prev = cas_claim(warp, job, searching, &slot);
@@ -73,12 +54,7 @@ pub fn ht_get_atomic(
         });
 
         // Winners publish the key.
-        let mut winners = Mask::NONE;
-        for l in searching.lanes() {
-            if prev[l] == EMPTY {
-                winners.set(l);
-            }
-        }
+        let (winners, losers) = split_claims(searching, &prev);
         publish_key(warp, job, winners, &slot, args);
         job.occupied += winners.count();
 
@@ -86,26 +62,9 @@ pub fn ht_get_atomic(
         warp.syncwarp(searching);
 
         // prev != EMPTY && key == kmer  → found existing entry.
-        let losers = {
-            let mut m = Mask::NONE;
-            for l in searching.lanes() {
-                if prev[l] != EMPTY {
-                    m.set(l);
-                }
-            }
-            m
-        };
         let eq = compare_stored_keys(warp, job, losers, &slot, args);
         warp.iop(searching, 2); // branch resolution on (prev, eq)
-
-        let mut still = Mask::NONE;
-        for l in searching.lanes() {
-            let done = prev[l] == EMPTY || eq[l];
-            if !done {
-                still.set(l);
-            }
-        }
-        searching = still;
+        searching = unmatched(losers, &eq);
 
         // Leaving a bucket? The continuing lanes vote before the warp
         // jumps regions together (no-op on single-region layouts).
@@ -125,6 +84,7 @@ mod tests {
     use locassm_core::walk::WalkConfig;
     use locassm_core::Read;
     use memhier::HierarchyConfig;
+    use simt::Mask;
 
     fn setup(read: &[u8], k: usize) -> (Warp, DeviceJob) {
         let mut warp = Warp::new(32, HierarchyConfig::tiny());

@@ -8,12 +8,11 @@
 //! productivity/performance cost of the missing intrinsics (§III-B).
 
 use crate::fault::KernelFault;
-use crate::layout::{table_occupancy, DeviceJob, EMPTY};
+use crate::layout::DeviceJob;
 use crate::probe::{
-    advance, bucket_crossing_vote, cas_claim, compare_stored_keys, publish_key, start_slots,
-    InsertArgs, SlotVec,
+    advance, begin_insert, bucket_crossing_vote, cas_claim, compare_stored_keys, probe_wrapped,
+    publish_key, split_claims, unmatched, InsertArgs, SlotVec,
 };
-use crate::resize::ensure_capacity;
 use simt::{LaneVec, Mask, Warp};
 
 /// Find-or-claim the entry for each active lane's k-mer. Returns the slot
@@ -22,113 +21,68 @@ use simt::{LaneVec, Mask, Warp};
 /// The wrap guard counts *probing* rounds, exactly like the CUDA and SYCL
 /// dialects: a loop-top `__all(done)` that terminates the warp is not a
 /// probe, so `rounds` only advances once lanes actually claim/compare.
-/// All three dialects fault on the round that would revisit the probe's
-/// origin (`rounds` past the layout's probe bound — `job.slots` for
-/// linear probing). The resize high-water check follows the rule
-/// documented on [`crate::insert_cuda::ht_get_atomic`].
+/// The entry and the wrap exit are shared with the other dialects (see
+/// [`crate::insert_cuda::ht_get_atomic`]).
 pub fn ht_get_atomic(
     warp: &mut Warp,
     job: &mut DeviceJob,
     args: &InsertArgs,
 ) -> Result<SlotVec, KernelFault> {
-    if warp.injected_faults().table_full {
-        return Err(KernelFault::HashTableFull {
-            capacity: job.slots,
-            occupancy: table_occupancy(warp, job),
-        });
-    }
-    ensure_capacity(warp, job, args.mask.count())?;
-    let probe_bound = job.layout.as_layout().probe_bound(job);
-    let mut slot = start_slots(warp, job, args);
-    let mut done = LaneVec::from_fn(warp.width(), |l| !args.mask.contains(l));
+    let (probe_bound, mut slot) = begin_insert(warp, job, args)?;
+    // The lanes whose `done` flag is still clear.
+    let mut searching = args.mask;
 
     // Wrap guard: the table is sized host-side, so a full wrap means the
     // estimate was violated ("*hashtable full*" in the listings).
     let mut rounds = 0u32;
     loop {
         // if (__all(done)) return …
-        let done_preds = LaneVec::from_fn(warp.width(), |l| done[l]);
-        if warp.all(warp.full_mask(), &done_preds) {
+        if all_done(warp, searching) {
             warp.trace_event(simt::EventKind::ProbeChain { rounds });
             return Ok(slot);
         }
         rounds += 1;
         if rounds > probe_bound {
-            warp.san_record(simt::SanKind::ProbeWrap { rounds, slots: job.slots });
-            return Err(KernelFault::HashTableFull {
-                capacity: job.slots,
-                occupancy: table_occupancy(warp, job),
-            });
+            return Err(probe_wrapped(warp, job, rounds));
         }
 
-        let not_done = {
-            let mut m = Mask::NONE;
-            for l in args.mask.lanes() {
-                if !done[l] {
-                    m.set(l);
-                }
-            }
-            m
-        };
-
         // if (!done) prev = atomicCAS(...)
-        let prev = cas_claim(warp, job, not_done, &slot);
+        let prev = cas_claim(warp, job, searching, &slot);
 
         // Winners publish their key (implicit wavefront lockstep stands in
         // for the missing __syncwarp — §III-B's "implicit synchronization").
-        let mut winners = Mask::NONE;
-        for l in not_done.lanes() {
-            if prev[l] == EMPTY {
-                winners.set(l);
-            }
-        }
+        let (winners, losers) = split_claims(searching, &prev);
         publish_key(warp, job, winners, &slot, args);
         job.occupied += winners.count();
 
         // if (!done) { match/own checks set the done flag }.
-        let losers = {
-            let mut m = Mask::NONE;
-            for l in not_done.lanes() {
-                if prev[l] != EMPTY {
-                    m.set(l);
-                }
-            }
-            m
-        };
         let eq = compare_stored_keys(warp, job, losers, &slot, args);
-        warp.iop(not_done, 2); // done-flag updates
-        for l in not_done.lanes() {
-            if prev[l] == EMPTY || eq[l] {
-                done[l] = true;
-            }
-        }
+        warp.iop(searching, 2); // done-flag updates
+        searching = unmatched(losers, &eq);
 
         // Second __all(done) check of the listing.
-        let done_preds = LaneVec::from_fn(warp.width(), |l| done[l]);
-        if warp.all(warp.full_mask(), &done_preds) {
+        if all_done(warp, searching) {
             warp.trace_event(simt::EventKind::ProbeChain { rounds });
             return Ok(slot);
         }
 
         // if (!done) hash_val = (hash_val + 1) % max_size
-        let still = {
-            let mut m = Mask::NONE;
-            for l in args.mask.lanes() {
-                if !done[l] {
-                    m.set(l);
-                }
-            }
-            m
-        };
-        bucket_crossing_vote(warp, job, still, rounds - 1);
-        advance(warp, job, still, &args.hash, rounds, &mut slot);
+        bucket_crossing_vote(warp, job, searching, rounds - 1);
+        advance(warp, job, searching, &args.hash, rounds, &mut slot);
     }
+}
+
+/// `__all(done)` over the whole wavefront: a lane is done once it left
+/// `searching` (or was never active).
+fn all_done(warp: &mut Warp, searching: Mask) -> bool {
+    let done = LaneVec::from_fn(warp.width(), |l| !searching.contains(l));
+    warp.all(warp.full_mask(), &done)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::OFF_KEY_LEN;
+    use crate::layout::{EMPTY, OFF_KEY_LEN};
     use locassm_core::walk::WalkConfig;
     use locassm_core::Read;
     use memhier::HierarchyConfig;

@@ -8,34 +8,23 @@
 //! waste for ragged work.
 
 use crate::fault::KernelFault;
-use crate::layout::{table_occupancy, DeviceJob, EMPTY};
+use crate::layout::DeviceJob;
 use crate::probe::{
-    advance, bucket_crossing_vote, cas_claim, compare_stored_keys, publish_key, start_slots,
-    InsertArgs, SlotVec,
+    advance, begin_insert, bucket_crossing_vote, cas_claim, compare_stored_keys, probe_wrapped,
+    publish_key, split_claims, unmatched, InsertArgs, SlotVec,
 };
-use crate::resize::ensure_capacity;
-use simt::{Mask, Warp};
+use simt::Warp;
 
 /// Find-or-claim the entry for each active lane's k-mer. Returns the slot
-/// index per lane, or `HashTableFull` if a probe chain wraps the table
-/// (the guard is uniform across the three dialects: at most the layout's
-/// probe bound rounds — `job.slots` for linear probing). The resize
-/// high-water check follows the rule documented on
-/// [`crate::insert_cuda::ht_get_atomic`].
+/// index per lane, or `HashTableFull` if a probe chain wraps the table.
+/// The entry and the wrap exit are shared with the other dialects (see
+/// [`crate::insert_cuda::ht_get_atomic`]).
 pub fn ht_get_atomic(
     warp: &mut Warp,
     job: &mut DeviceJob,
     args: &InsertArgs,
 ) -> Result<SlotVec, KernelFault> {
-    if warp.injected_faults().table_full {
-        return Err(KernelFault::HashTableFull {
-            capacity: job.slots,
-            occupancy: table_occupancy(warp, job),
-        });
-    }
-    ensure_capacity(warp, job, args.mask.count())?;
-    let probe_bound = job.layout.as_layout().probe_bound(job);
-    let mut slot = start_slots(warp, job, args);
+    let (probe_bound, mut slot) = begin_insert(warp, job, args)?;
     let mut searching = args.mask;
 
     // Wrap guard ("*hashtable full*" in the listings).
@@ -43,47 +32,22 @@ pub fn ht_get_atomic(
     while !searching.is_empty() {
         rounds += 1;
         if rounds > probe_bound {
-            warp.san_record(simt::SanKind::ProbeWrap { rounds, slots: job.slots });
-            return Err(KernelFault::HashTableFull {
-                capacity: job.slots,
-                occupancy: table_occupancy(warp, job),
-            });
+            return Err(probe_wrapped(warp, job, rounds));
         }
         // prev = dpct::atomic_compare_exchange_strong(...)
         let prev = cas_claim(warp, job, searching, &slot);
 
         // Winners publish the key before the barrier.
-        let mut winners = Mask::NONE;
-        for l in searching.lanes() {
-            if prev[l] == EMPTY {
-                winners.set(l);
-            }
-        }
+        let (winners, losers) = split_claims(searching, &prev);
         publish_key(warp, job, winners, &slot, args);
         job.occupied += winners.count();
 
         // sg.barrier(): the whole sub-group synchronizes every round.
         warp.subgroup_barrier();
 
-        let losers = {
-            let mut m = Mask::NONE;
-            for l in searching.lanes() {
-                if prev[l] != EMPTY {
-                    m.set(l);
-                }
-            }
-            m
-        };
         let eq = compare_stored_keys(warp, job, losers, &slot, args);
         warp.iop(searching, 2);
-
-        let mut still = Mask::NONE;
-        for l in searching.lanes() {
-            if !(prev[l] == EMPTY || eq[l]) {
-                still.set(l);
-            }
-        }
-        searching = still;
+        searching = unmatched(losers, &eq);
         bucket_crossing_vote(warp, job, searching, rounds - 1);
         advance(warp, job, searching, &args.hash, rounds, &mut slot);
     }
@@ -97,7 +61,7 @@ mod tests {
     use locassm_core::walk::WalkConfig;
     use locassm_core::Read;
     use memhier::HierarchyConfig;
-    use simt::LaneVec;
+    use simt::{LaneVec, Mask};
 
     fn setup(width: u32) -> (Warp, DeviceJob) {
         let mut warp = Warp::new(width, HierarchyConfig::tiny());

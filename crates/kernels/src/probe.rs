@@ -1,7 +1,9 @@
 //! Shared probe machinery for the three `ht_get_atomic` dialects.
 
-use crate::layout::{DeviceJob, EMPTY, OFF_KEY_LEN, OFF_KEY_OFF};
-use simt::{LaneVec, Mask, Warp};
+use crate::fault::KernelFault;
+use crate::layout::{table_occupancy, DeviceJob, EMPTY, OFF_KEY_LEN, OFF_KEY_OFF};
+use crate::resize::ensure_capacity;
+use simt::{LaneVec, Mask, SanKind, Warp};
 
 /// Probe-cursor advance strategy for the open-addressed table.
 ///
@@ -65,6 +67,69 @@ pub fn start_slots(warp: &Warp, job: &DeviceJob, args: &InsertArgs) -> SlotVec {
 
 /// Result: the slot index each active lane ended up owning/finding.
 pub type SlotVec = LaneVec<u32>;
+
+/// The insert entry shared by the three dialects. An injected table-full
+/// fault short-circuits first; then, with [`DeviceJob::resize`] armed,
+/// the warp checks the layout's high-water mark and migrates into a grown
+/// region before probing ([`ensure_capacity`]). Returns the layout's
+/// probe bound — one full wrap of the probe sequence (`job.slots` rounds
+/// for linear probing, the listings' `hash_val == orig_hash` condition;
+/// two buckets for the bucketed layout; front bucket + backyard for
+/// iceberg) — and each lane's start slot.
+pub fn begin_insert(
+    warp: &mut Warp,
+    job: &mut DeviceJob,
+    args: &InsertArgs,
+) -> Result<(u32, SlotVec), KernelFault> {
+    if warp.injected_faults().table_full {
+        return Err(table_full(warp, job));
+    }
+    ensure_capacity(warp, job, args.mask.count())?;
+    let probe_bound = job.layout.as_layout().probe_bound(job);
+    Ok((probe_bound, start_slots(warp, job, args)))
+}
+
+/// Split the lanes of `mask` by their claim result `prev`: winners saw
+/// `EMPTY` and now own the slot; losers found it taken and must compare
+/// keys. Host-side mask bookkeeping only — no modeled charge.
+pub fn split_claims(mask: Mask, prev: &LaneVec<u32>) -> (Mask, Mask) {
+    let (mut winners, mut losers) = (Mask::NONE, Mask::NONE);
+    for l in mask.lanes() {
+        if prev[l] == EMPTY {
+            winners.set(l);
+        } else {
+            losers.set(l);
+        }
+    }
+    (winners, losers)
+}
+
+/// The losers whose stored key differs from their own k-mer: the lanes
+/// that keep probing. Host-side mask bookkeeping only.
+pub fn unmatched(losers: Mask, eq: &LaneVec<bool>) -> Mask {
+    let mut still = Mask::NONE;
+    for l in losers.lanes() {
+        if !eq[l] {
+            still.set(l);
+        }
+    }
+    still
+}
+
+/// The wrap exit shared by the three dialects: a probe chain reached
+/// round `rounds`, past the layout's probe bound, so it would revisit its
+/// origin ("*hashtable full*" in the listings). Records the sanitizer's
+/// `ProbeWrap` finding and returns the structured fault the launch layer
+/// escalates on. A successful insert never needs more rounds, so
+/// fault-free runs never reach it.
+pub fn probe_wrapped(warp: &mut Warp, job: &DeviceJob, rounds: u32) -> KernelFault {
+    warp.san_record(SanKind::ProbeWrap { rounds, slots: job.slots });
+    table_full(warp, job)
+}
+
+fn table_full(warp: &Warp, job: &DeviceJob) -> KernelFault {
+    KernelFault::HashTableFull { capacity: job.slots, occupancy: table_occupancy(warp, job) }
+}
 
 /// Issue the warp-wide `atomicCAS(&ht[slot].key_len, EMPTY, k)` for the
 /// lanes in `mask`; returns the per-lane `prev` values.
@@ -221,7 +286,7 @@ mod tests {
     fn advance_wraps() {
         let (mut warp, job) = setup();
         let hash = LaneVec::splat(job.slots - 1);
-        let mut slot = hash.clone();
+        let mut slot = hash;
         advance(&mut warp, &job, Mask::lane(0), &hash, 1, &mut slot);
         assert_eq!(slot[0], 0);
     }

@@ -185,6 +185,7 @@ mod tests {
     use locassm_core::walk::WalkConfig;
     use locassm_core::Read;
     use memhier::HierarchyConfig;
+    use simt::InjectedFaults;
 
     fn scrambled_seq(len: usize) -> Vec<u8> {
         let mut state = 0x2545_f491u64;
@@ -234,7 +235,7 @@ mod tests {
     /// inserts crosses the high-water mark and growth actually runs.
     fn squeezed(squeeze: u32) -> (Warp, DeviceJob) {
         let mut warp = Warp::new(32, HierarchyConfig::tiny());
-        warp.inject_table_squeeze(squeeze);
+        warp.inject(InjectedFaults { table_squeeze: squeeze, ..Default::default() });
         let seq = scrambled_seq(120);
         let reads = vec![Read::with_uniform_qual(&seq, b'I')];
         let mut job = DeviceJob::stage(
@@ -287,7 +288,7 @@ mod tests {
     #[test]
     fn resize_abort_injection_faults_mid_migration() {
         let (mut warp, mut job) = squeezed(4);
-        warp.inject_resize_abort();
+        warp.inject(InjectedFaults { resize_abort: true, ..warp.injected_faults() });
         let span = job.spans[0];
         let mut fault = None;
         for start in 0..=(span.len as usize - job.k) {

@@ -276,7 +276,7 @@ mod tests {
         let mut warp = Warp::new(32, HierarchyConfig::tiny());
         let mut job = DeviceJob::stage(&mut warp, b"GGGGACGTACG", &reads, 4, cfg(), 1).unwrap();
         construct_hash_table(&mut warp, &mut job, Dialect::Cuda).unwrap();
-        warp.inject_watchdog();
+        warp.inject(simt::InjectedFaults { watchdog: true, ..Default::default() });
         match mer_walk_kernel(&mut warp, &job) {
             Err(KernelFault::WalkBudgetExceeded { budget, spent }) => {
                 assert_eq!(budget, 0, "injection zeroes the budget");

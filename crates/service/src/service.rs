@@ -358,7 +358,7 @@ pub fn run_service(requests: &[ExtensionRequest], cfg: &ServiceConfig) -> Servic
             let launches = launch_plan(&ds, &gpu);
             let run_id = numbered_jobs(&launches).position(|(i, _)| i == pos)?;
             let plan = plan.consume(picked[pos].attempts_spent)?;
-            Some(plan.retargeted(victim_uid, run_id as u64))
+            Some(FaultPlan { job: run_id as u64, ..plan })
         });
         gpu.fault = fault;
         let out = run_local_assembly(&ds, &gpu);

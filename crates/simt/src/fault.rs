@@ -13,7 +13,6 @@
 //! real pathology would produce. Plans are plain `Copy` data — no global
 //! state, no timers — so a seeded plan replays bit-identically.
 
-use crate::mem::GlobalMem;
 use crate::warp::Warp;
 
 /// Fault flags carried on a [`Warp`], observed by kernel-side checks.
@@ -24,6 +23,10 @@ use crate::warp::Warp;
 pub struct InjectedFaults {
     /// Force the next hash-table insert to report the table full.
     pub table_full: bool,
+    /// Fail the `nth` (1-based) arena allocation (0 = none). Armed on the
+    /// warp's arena by [`Warp::inject`]; staging observes it as
+    /// `ArenaExhausted`.
+    pub alloc_fail: u64,
     /// Force the walk watchdog to trip on its first budget check.
     pub watchdog: bool,
     /// Divide the staged hash table's main region by this factor (0 or 1
@@ -37,31 +40,25 @@ pub struct InjectedFaults {
     /// Abort the next in-kernel table migration mid-chunk (after the
     /// first migrated chunk, before the old region retires), forcing the
     /// `ResizeAborted` recovery path. Ignored by runs that never resize.
+    /// Usually combined with a squeeze so a resize genuinely triggers.
     pub resize_abort: bool,
 }
 
-/// A deterministic, seedable single-fault injection plan.
+/// A deterministic, seedable single-victim injection plan: the faults in
+/// `inject` are armed on run-global job `job`.
 ///
 /// Job indices are *run-global*: the launch layer numbers every warp it
 /// launches across batches and sides in deterministic order (the same
 /// numbering the trace layer uses), and offsets each launch's local
-/// indices by [`crate::grid::LaunchConfig::fault_base`].
+/// indices by [`crate::grid::LaunchConfig::fault_base`]. A driver that
+/// re-enqueues jobs (the service) names the victim in its own stable id
+/// space and rewrites `job` onto each run's numbering before launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Report `HashTableFull` when this job first inserts.
-    pub table_full_at: Option<u64>,
-    /// `(job, nth)` — fail the `nth` (1-based) arena allocation of `job`.
-    pub alloc_fail: Option<(u64, u64)>,
-    /// Trip the walk watchdog on this job's first budget check.
-    pub watchdog_at: Option<u64>,
-    /// `(job, divisor)` — stage this job's hash-table main region at
-    /// `1/divisor` of its estimated size (a simulated estimate
-    /// violation; see [`InjectedFaults::table_squeeze`]).
-    pub squeeze_at: Option<(u64, u32)>,
-    /// Abort this job's first in-kernel table migration mid-chunk (see
-    /// [`InjectedFaults::resize_abort`]). Usually combined with
-    /// `squeeze_at` on the same victim so a resize genuinely triggers.
-    pub resize_abort_at: Option<u64>,
+    /// The victim's run-global job index.
+    pub job: u64,
+    /// The faults armed on the victim's warp.
+    pub inject: InjectedFaults,
     /// How many attempts of the victim job observe the fault. `1` (the
     /// default) models a transient fault: the first retry runs clean.
     /// `2` also faults the first (grown-table) retry, pushing recovery
@@ -71,31 +68,35 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    fn on(job: u64, inject: InjectedFaults) -> Self {
+        Self { job, inject, attempts: 1 }
+    }
+
     /// Force a hash-table-full fault at run-global job index `job`.
     pub fn table_full(job: u64) -> Self {
-        Self { table_full_at: Some(job), attempts: 1, ..Self::default() }
+        Self::on(job, InjectedFaults { table_full: true, ..Default::default() })
     }
 
     /// Fail the `nth` (1-based) arena allocation of job `job`.
     pub fn alloc_failure(job: u64, nth: u64) -> Self {
-        Self { alloc_fail: Some((job, nth.max(1))), attempts: 1, ..Self::default() }
+        Self::on(job, InjectedFaults { alloc_fail: nth.max(1), ..Default::default() })
     }
 
     /// Trip the walk watchdog at run-global job index `job`.
     pub fn watchdog(job: u64) -> Self {
-        Self { watchdog_at: Some(job), attempts: 1, ..Self::default() }
+        Self::on(job, InjectedFaults { watchdog: true, ..Default::default() })
     }
 
     /// Stage job `job`'s hash table at `1/divisor` of its estimated main
     /// region — a simulated host-estimate violation that exercises the
     /// real overflow paths instead of short-circuiting them.
     pub fn table_squeeze(job: u64, divisor: u32) -> Self {
-        Self { squeeze_at: Some((job, divisor.max(2))), attempts: 1, ..Self::default() }
+        Self::on(job, InjectedFaults { table_squeeze: divisor.max(2), ..Default::default() })
     }
 
     /// Abort job `job`'s first in-kernel table migration mid-chunk.
     pub fn resize_abort(job: u64) -> Self {
-        Self { resize_abort_at: Some(job), attempts: 1, ..Self::default() }
+        Self::on(job, InjectedFaults { resize_abort: true, ..Default::default() })
     }
 
     /// Make the fault persist for the victim's first `attempts` attempts
@@ -125,41 +126,9 @@ impl FaultPlan {
         }
     }
 
-    /// The single job id this plan targets, if any. Every constructor
-    /// produces a single-victim plan; a hand-assembled plan with several
-    /// distinct victims reports the first in field order.
+    /// The job id this plan targets, or `None` if it injects nothing.
     pub fn victim(&self) -> Option<u64> {
-        self.table_full_at
-            .or(self.watchdog_at)
-            .or(self.alloc_fail.map(|(j, _)| j))
-            .or(self.squeeze_at.map(|(j, _)| j))
-            .or(self.resize_abort_at)
-    }
-
-    /// Rewrite every victim id equal to `from` into `to`, leaving the
-    /// fault class, payload and attempt budget untouched.
-    ///
-    /// This is the id-stability primitive for drivers that *re-enqueue*
-    /// jobs (a service-level retry, a requeue after backpressure): such a
-    /// driver names victims in its own stable id space (e.g. a request
-    /// uid) and retargets the plan onto each run's run-global job
-    /// numbering just before launch. The victim keeps faulting no matter
-    /// which batch slot it lands in — without this, a persistent seeded
-    /// fault would hit whoever happens to inherit the original slot.
-    pub fn retargeted(&self, from: u64, to: u64) -> Self {
-        let mv = |id: Option<u64>| id.map(|j| if j == from { to } else { j });
-        Self {
-            table_full_at: mv(self.table_full_at),
-            watchdog_at: mv(self.watchdog_at),
-            alloc_fail: self
-                .alloc_fail
-                .map(|(j, nth)| (if j == from { to } else { j }, nth)),
-            squeeze_at: self
-                .squeeze_at
-                .map(|(j, d)| (if j == from { to } else { j }, d)),
-            resize_abort_at: mv(self.resize_abort_at),
-            attempts: self.attempts,
-        }
+        (self.inject != InjectedFaults::default()).then_some(self.job)
     }
 
     /// Deduct `spent` attempts already charged against this plan's budget
@@ -167,10 +136,10 @@ impl FaultPlan {
     /// `None` once the budget is exhausted — the caller then launches
     /// with no plan at all, so the victim's next attempt runs clean.
     ///
-    /// Together with [`FaultPlan::retargeted`] this makes a persistent
-    /// fault *globally* persistent across service-level re-enqueues: a
-    /// `persist(3)` plan faults exactly three attempts of the same
-    /// request even when those attempts span multiple separate runs.
+    /// This makes a persistent fault *globally* persistent across
+    /// service-level re-enqueues: a `persist(3)` plan faults exactly three
+    /// attempts of the same request even when those attempts span
+    /// multiple separate runs.
     pub fn consume(&self, spent: u32) -> Option<Self> {
         let remaining = self.attempts.saturating_sub(spent);
         if remaining == 0 {
@@ -181,41 +150,17 @@ impl FaultPlan {
 
     /// True if this plan targets run-global job index `job`.
     pub fn targets(&self, job: u64) -> bool {
-        self.table_full_at == Some(job)
-            || self.watchdog_at == Some(job)
-            || matches!(self.alloc_fail, Some((j, _)) if j == job)
-            || matches!(self.squeeze_at, Some((j, _)) if j == job)
-            || self.resize_abort_at == Some(job)
+        self.victim() == Some(job)
     }
 
     /// Arm this plan on `warp` if it targets run-global job index `job`.
     /// Called by the launch engine after the warp is acquired (and reset)
     /// and before the kernel runs; a non-matching job is a no-op.
     pub fn arm(&self, job: u64, warp: &mut Warp) {
-        if self.table_full_at == Some(job) {
-            warp.inject_table_full();
-        }
-        if self.watchdog_at == Some(job) {
-            warp.inject_watchdog();
-        }
-        if let Some((j, nth)) = self.alloc_fail {
-            if j == job {
-                arm_alloc(&mut warp.mem, nth);
-            }
-        }
-        if let Some((j, divisor)) = self.squeeze_at {
-            if j == job {
-                warp.inject_table_squeeze(divisor);
-            }
-        }
-        if self.resize_abort_at == Some(job) {
-            warp.inject_resize_abort();
+        if self.targets(job) {
+            warp.inject(self.inject);
         }
     }
-}
-
-fn arm_alloc(mem: &mut GlobalMem, nth: u64) {
-    mem.arm_alloc_failure(nth);
 }
 
 #[cfg(test)]
@@ -237,14 +182,15 @@ mod tests {
         let mut dog = 0;
         for seed in 0..64u64 {
             let p = FaultPlan::seeded(seed, 9);
-            if p.table_full_at.is_some() {
+            assert!(p.job < 9);
+            if p.inject.table_full {
                 table += 1;
             }
-            if let Some((j, nth)) = p.alloc_fail {
+            if p.inject.alloc_fail > 0 {
                 alloc += 1;
-                assert!(j < 9 && (1..=5).contains(&nth));
+                assert!((1..=5).contains(&p.inject.alloc_fail));
             }
-            if p.watchdog_at.is_some() {
+            if p.inject.watchdog {
                 dog += 1;
             }
         }
@@ -263,36 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn retarget_moves_only_the_matching_victim() {
-        let plan = FaultPlan::table_full(7).persist(3);
-        assert_eq!(plan.victim(), Some(7));
-        let moved = plan.retargeted(7, 2);
-        assert_eq!(moved.victim(), Some(2));
-        assert!(moved.targets(2) && !moved.targets(7));
-        assert_eq!(moved.attempts, 3, "the attempt budget rides along");
-        // A non-matching rewrite is the identity.
-        assert_eq!(plan.retargeted(5, 9), plan);
-        // Payloads survive the move.
-        let sq = FaultPlan::table_squeeze(4, 6).retargeted(4, 0);
-        assert_eq!(sq.squeeze_at, Some((0, 6)));
-        let alloc = FaultPlan::alloc_failure(4, 3).retargeted(4, 1);
-        assert_eq!(alloc.alloc_fail, Some((1, 3)));
-        let ra = FaultPlan::resize_abort(4).retargeted(4, 8);
-        assert_eq!(ra.resize_abort_at, Some(8));
-        assert_eq!(ra.victim(), Some(8));
-    }
-
-    #[test]
     fn resize_abort_arms_and_combines_with_a_squeeze() {
         let mut warp = Warp::new(8, HierarchyConfig::tiny());
-        // A hand-assembled multi-field plan: squeeze the victim's table so
+        // A combined plan: squeeze the victim's table so
         // a resize genuinely triggers, then abort the migration mid-chunk.
-        let plan = FaultPlan {
-            squeeze_at: Some((3, 3)),
-            resize_abort_at: Some(3),
-            attempts: 1,
-            ..FaultPlan::default()
-        };
+        let mut plan = FaultPlan::table_squeeze(3, 3);
+        plan.inject.resize_abort = true;
         assert!(plan.targets(3) && !plan.targets(2));
         plan.arm(2, &mut warp);
         assert_eq!(warp.injected_faults(), InjectedFaults::default());
@@ -310,7 +232,7 @@ mod tests {
         // Run 1 spent 2 attempts: one remains.
         let rest = plan.consume(2).expect("budget not yet exhausted");
         assert_eq!(rest.attempts, 1);
-        assert_eq!(rest.table_full_at, Some(0));
+        assert_eq!(rest.victim(), Some(0));
         // Run 2 spent that one: the plan disarms entirely.
         assert_eq!(rest.consume(1), None);
         assert_eq!(plan.consume(3), None);
@@ -323,9 +245,11 @@ mod tests {
     #[test]
     fn reset_disarms_injected_faults() {
         let mut warp = Warp::new(8, HierarchyConfig::tiny());
-        FaultPlan::watchdog(0).arm(0, &mut warp);
-        FaultPlan::alloc_failure(0, 2).arm(0, &mut warp);
+        let mut plan = FaultPlan::watchdog(0);
+        plan.inject.alloc_fail = 2;
+        plan.arm(0, &mut warp);
         assert!(warp.injected_faults().watchdog);
+        assert_eq!(warp.injected_faults().alloc_fail, 2);
         warp.reset(8, HierarchyConfig::tiny());
         assert_eq!(warp.injected_faults(), InjectedFaults::default());
         assert!(warp.mem.try_alloc(16).is_ok(), "reset must disarm the allocation fault");

@@ -9,9 +9,10 @@
 //!
 //! The paper's Fig. 3 pipeline reserves per-warp device slabs up front so
 //! the kernel never allocates mid-flight. The launcher mirrors that
-//! discipline on the host side: instead of building a fresh [`Warp`] (arena
-//! + cache model) for every job, it draws warps from a process-wide pool,
-//! [`Warp::reset`]s them to a cold state, and returns them after the job.
+//! discipline on the host side: instead of building a fresh [`Warp`] (an
+//! arena plus a cache model) for every job, it draws warps from a
+//! process-wide pool, [`Warp::reset`]s them to a cold state, and returns
+//! them after the job.
 //! A reset re-zeroes only the used region of the arena and keeps every
 //! backing buffer, so steady-state launches perform no heap allocation for
 //! warp state at all. [`LaunchConfig::arena_hint`] seeds new and reused
@@ -56,8 +57,8 @@ pub struct LaunchConfig {
     /// bit-identical either way, pooling only removes allocator traffic.
     pub pool: bool,
     /// Pre-size hint, in bytes, for each warp's memory arena — typically
-    /// the host-side estimate of the largest per-warp device slab (contig
-    /// + reads + hash table + walk buffers). With an accurate hint the
+    /// the host-side estimate of the largest per-warp device slab (contig,
+    /// reads, hash table and walk buffers). With an accurate hint the
     /// in-kernel bump allocator never regrows its backing buffer. `0`
     /// means no reservation.
     pub arena_hint: u64,

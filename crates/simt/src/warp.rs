@@ -133,25 +133,15 @@ impl Warp {
         self.exec
     }
 
-    /// Arm the injected hash-table-full fault (see [`crate::fault`]).
-    pub fn inject_table_full(&mut self) {
-        self.injected.table_full = true;
-    }
-
-    /// Arm the injected walk-watchdog fault (see [`crate::fault`]).
-    pub fn inject_watchdog(&mut self) {
-        self.injected.watchdog = true;
-    }
-
-    /// Arm the injected table squeeze: staging divides the hash table's
-    /// main region by `divisor` (see [`crate::fault`]).
-    pub fn inject_table_squeeze(&mut self, divisor: u32) {
-        self.injected.table_squeeze = divisor.max(2);
-    }
-
-    /// Arm the injected mid-migration resize abort (see [`crate::fault`]).
-    pub fn inject_resize_abort(&mut self) {
-        self.injected.resize_abort = true;
+    /// Arm injected faults (see [`crate::fault`]): kernel checks observe
+    /// the flags through [`Warp::injected_faults`], and a nonzero
+    /// [`InjectedFaults::alloc_fail`] arms the arena's allocation
+    /// countdown.
+    pub fn inject(&mut self, faults: InjectedFaults) {
+        if faults.alloc_fail > 0 {
+            self.mem.arm_alloc_failure(faults.alloc_fail);
+        }
+        self.injected = faults;
     }
 
     /// Current injected-fault flags. Kernel fault checks read these; they
@@ -177,10 +167,10 @@ impl Warp {
     /// every enter must be matched by a [`Warp::phase_exit`] with the same
     /// name.
     pub fn phase_enter(&mut self, name: &'static str) {
-        if self.trace.is_some() {
-            let now = self.counters.warp_instructions;
-            let snap = self.snapshot();
-            self.trace.as_mut().unwrap().enter(name, now, snap);
+        // Detach the sink while snapshotting (which borrows the whole warp).
+        if let Some(mut t) = self.trace.take() {
+            t.enter(name, self.counters.warp_instructions, self.snapshot());
+            self.trace = Some(t);
         }
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record_phase_enter(name, self.counters.warp_instructions);
@@ -190,10 +180,10 @@ impl Warp {
     /// Exit the innermost phase, which must be named `name` (no-op
     /// without a sink or recorder).
     pub fn phase_exit(&mut self, name: &'static str) {
-        if self.trace.is_some() {
-            let now = self.counters.warp_instructions;
-            let snap = self.snapshot();
-            self.trace.as_mut().unwrap().exit(name, now, snap);
+        // Detach the sink while snapshotting (which borrows the whole warp).
+        if let Some(mut t) = self.trace.take() {
+            t.exit(name, self.counters.warp_instructions, self.snapshot());
+            self.trace = Some(t);
         }
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record_phase_exit(self.counters.warp_instructions);

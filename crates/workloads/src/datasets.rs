@@ -19,7 +19,7 @@
 use crate::genome::random_genome;
 use crate::sampler::{sample_left_junction, sample_right_junction, ReadProfile};
 use locassm_core::io::Dataset;
-use locassm_core::ContigJob;
+use locassm_core::{ContigJob, Read};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -148,9 +148,51 @@ pub fn paper_dataset(k: usize, scale: f64, seed: u64) -> Dataset {
     paper_spec(k).scaled(scale).generate(seed)
 }
 
+/// A deterministic xorshift DNA sequence (fixed data, no RNG): its k-mers
+/// are effectively all distinct, so insertions ≈ occupied slots and a
+/// squeezed table's overflow behaviour is predictable.
+pub fn scrambled_seq(len: usize) -> Vec<u8> {
+    let mut x = 0x2545_f491u32;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            b"ACGT"[(x % 4) as usize]
+        })
+        .collect()
+}
+
+/// One contig whose single right read carries ~`n_kmers` distinct k-mers
+/// — the minimal long-tail job whose hash table genuinely fills up when
+/// its host-side slot estimate is violated (`simt::FaultPlan::table_squeeze`).
+/// The contig is the read's first `max(k, 8)` bases.
+pub fn long_tail_dataset(k: usize, n_kmers: usize) -> Dataset {
+    let seq = scrambled_seq(n_kmers + k - 1);
+    let contig = seq[..k.max(8)].to_vec();
+    let job = ContigJob::new(0, contig, vec![Read::with_uniform_qual(&seq, b'I')], vec![]);
+    Dataset::new(k, vec![job])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn long_tail_job_is_one_contig_with_one_distinct_kmer_read() {
+        let ds = long_tail_dataset(21, 80);
+        assert_eq!(ds.k, 21);
+        assert_eq!(ds.jobs.len(), 1);
+        let job = &ds.jobs[0];
+        assert!(job.left_reads.is_empty());
+        assert_eq!(job.right_reads.len(), 1);
+        let read = &job.right_reads[0].seq;
+        assert_eq!(read.len(), 100);
+        assert_eq!(&job.contig[..], &read[..21]);
+        let distinct: std::collections::HashSet<_> = read.windows(21).collect();
+        assert_eq!(distinct.len(), 80);
+        assert_eq!(long_tail_dataset(21, 80), ds, "fixed data");
+    }
 
     #[test]
     fn full_scale_specs_match_table2() {

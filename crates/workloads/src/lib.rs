@@ -18,6 +18,6 @@ pub mod genome;
 pub mod sampler;
 pub mod stats;
 
-pub use datasets::{paper_dataset, paper_spec, DatasetSpec};
+pub use datasets::{long_tail_dataset, paper_dataset, paper_spec, scrambled_seq, DatasetSpec};
 pub use sampler::ReadProfile;
 pub use stats::{DatasetStats, ExtensionStats};

@@ -15,7 +15,7 @@ use locassm_kernels::{
 use proptest::prelude::*;
 use simt::FaultPlan;
 use std::sync::OnceLock;
-use workloads::paper_dataset;
+use workloads::{long_tail_dataset, paper_dataset};
 
 fn dataset() -> &'static Dataset {
     static DS: OnceLock<Dataset> = OnceLock::new();
@@ -221,31 +221,6 @@ proptest! {
     }
 }
 
-/// A deterministic pseudo-random DNA sequence (fixed data, no RNG): its
-/// k-mers are effectively all distinct, so insertions ≈ occupied slots
-/// and a squeezed table's overflow behaviour is predictable.
-fn scrambled_seq(len: usize) -> Vec<u8> {
-    let mut x = 0x2545_f491u32;
-    (0..len)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            b"ACGT"[(x % 4) as usize]
-        })
-        .collect()
-}
-
-/// One contig whose single right read carries ~`n_kmers` distinct k-mers
-/// — the minimal workload whose hash table genuinely fills up when its
-/// host-side slot estimate is violated.
-fn squeeze_dataset(k: usize, n_kmers: usize) -> Dataset {
-    let seq = scrambled_seq(n_kmers + k - 1);
-    let contig = seq[..k.max(8)].to_vec();
-    let job = ContigJob::new(0, contig, vec![Read::with_uniform_qual(&seq, b'I')], vec![]);
-    Dataset::new(k, vec![job])
-}
-
 /// A contig shorter than one 4-byte chunk (but long enough for k) is a
 /// structured `MalformedJob`: the walk's tail arithmetic would wrap, so
 /// the kernel refuses it outright — and escalation must not retry it,
@@ -278,7 +253,7 @@ fn sub_chunk_contig_is_malformed_and_not_retried() {
 /// bit-exactly on the first retry.
 #[test]
 fn table_squeeze_enters_the_grown_reserve_ladder_on_linear() {
-    let ds = squeeze_dataset(21, 80);
+    let ds = long_tail_dataset(21, 80);
     let cfg = config(RetryPolicy::none());
     let clean = run_local_assembly(&ds, &cfg);
     assert_eq!(clean.outcomes[0], JobOutcome::Ok, "unsqueezed run must be clean");
@@ -300,7 +275,7 @@ fn table_squeeze_enters_the_grown_reserve_ladder_on_linear() {
 /// squeeze alone would be rescued by it — see the transient test above).
 #[test]
 fn persistent_table_squeeze_exhausts_escalation() {
-    let ds = squeeze_dataset(21, 80);
+    let ds = long_tail_dataset(21, 80);
     let mut cfg = config(RetryPolicy::none());
     cfg.fault = Some(FaultPlan::table_squeeze(0, 6).persist(u32::MAX));
     let r = run_local_assembly(&ds, &cfg);
@@ -321,7 +296,7 @@ fn persistent_table_squeeze_exhausts_escalation() {
 /// *without* the abort is absorbed by the resize with zero escalation.
 #[test]
 fn resize_abort_mid_migration_recovers_bit_exactly() {
-    let ds = squeeze_dataset(21, 80);
+    let ds = long_tail_dataset(21, 80);
     let mut cfg = config(RetryPolicy::none());
     cfg.resize = true;
 
@@ -329,15 +304,11 @@ fn resize_abort_mid_migration_recovers_bit_exactly() {
     assert_eq!(clean.outcomes[0], JobOutcome::Ok, "unfaulted resizing run must be clean");
 
     // Squeeze the victim so a resize genuinely triggers, then abort its
-    // migration mid-chunk (a hand-assembled two-field plan; see
-    // `FaultPlan::resize_abort`).
+    // migration mid-chunk (a combined plan; see `FaultPlan::resize_abort`).
     let mut aborted_cfg = cfg.clone();
-    aborted_cfg.fault = Some(FaultPlan {
-        squeeze_at: Some((0, 3)),
-        resize_abort_at: Some(0),
-        attempts: 1,
-        ..FaultPlan::default()
-    });
+    let mut plan = FaultPlan::table_squeeze(0, 3);
+    plan.inject.resize_abort = true;
+    aborted_cfg.fault = Some(plan);
     let aborted = run_local_assembly(&ds, &aborted_cfg);
     assert_eq!(
         aborted.outcomes[0],

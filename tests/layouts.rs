@@ -9,7 +9,7 @@ use locassm::core::io::Dataset;
 use locassm::core::{assemble_all, AssemblyConfig, ContigJob, Read, RetryPolicy};
 use locassm::kernels::{run_local_assembly, GpuConfig, JobOutcome, TableLayoutKind};
 use locassm::specs::DeviceId;
-use locassm::workloads::paper_dataset;
+use locassm::workloads::{long_tail_dataset, paper_dataset, scrambled_seq};
 use simt::{FaultPlan, SanitizerConfig};
 
 const DEVICES: [DeviceId; 3] = [DeviceId::A100, DeviceId::Mi250x, DeviceId::Max1550];
@@ -128,19 +128,6 @@ fn bucketed_and_iceberg_sustain_higher_load_factor_fault_free() {
     }
 }
 
-/// A deterministic pseudo-random DNA sequence (fixed data, no RNG).
-fn scrambled_seq(len: usize) -> Vec<u8> {
-    let mut x = 0x2545_f491u32;
-    (0..len)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            b"ACGT"[(x % 4) as usize]
-        })
-        .collect()
-}
-
 /// Acceptance test for the iceberg backyard: the same violated slot
 /// estimate (table squeezed to a third) that pushes the linear layout
 /// into the grown-reserve escalation ladder is absorbed by the iceberg
@@ -148,9 +135,7 @@ fn scrambled_seq(len: usize) -> Vec<u8> {
 /// the clean run. Grown-reserve escalation has become a last resort.
 #[test]
 fn iceberg_backyard_absorbs_what_escalates_linear() {
-    let seq = scrambled_seq(100);
-    let job = ContigJob::new(0, seq[..21].to_vec(), vec![Read::with_uniform_qual(&seq, b'I')], vec![]);
-    let ds = Dataset::new(21, vec![job]);
+    let ds = long_tail_dataset(21, 80);
 
     let run = |layout: TableLayoutKind, squeeze: bool| {
         let mut cfg = GpuConfig::for_device(DeviceId::A100);
@@ -191,9 +176,7 @@ fn iceberg_backyard_absorbs_what_escalates_linear() {
 /// extensions are bit-identical to the unsqueezed clean run.
 #[test]
 fn in_kernel_resize_retires_the_escalation_ladder() {
-    let seq = scrambled_seq(100);
-    let job = ContigJob::new(0, seq[..21].to_vec(), vec![Read::with_uniform_qual(&seq, b'I')], vec![]);
-    let ds = Dataset::new(21, vec![job]);
+    let ds = long_tail_dataset(21, 80);
 
     let run = |layout: TableLayoutKind, squeeze: bool, resize: bool| {
         let mut cfg = GpuConfig::for_device(DeviceId::A100);

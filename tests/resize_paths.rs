@@ -21,41 +21,16 @@
 //! modeled cost, so the fix is left to a change that re-baselines it.
 
 use locassm::core::io::Dataset;
-use locassm::core::{ContigJob, Read};
 use locassm::kernels::{run_local_assembly, GpuConfig, GpuRunResult, JobOutcome, TableLayoutKind};
 use locassm::specs::DeviceId;
+use locassm::workloads::long_tail_dataset;
 use simt::{FaultPlan, SanitizerConfig};
-
-/// A deterministic xorshift base sequence with no repeated 21-mers.
-fn scrambled_seq(len: usize) -> Vec<u8> {
-    let mut x = 0x2545_f491u32;
-    (0..len)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            b"ACGT"[(x % 4) as usize]
-        })
-        .collect()
-}
-
-fn long_tail() -> Dataset {
-    let seq = scrambled_seq(100);
-    let job = ContigJob::new(
-        0,
-        seq[..21].to_vec(),
-        vec![Read::with_uniform_qual(&seq, b'I')],
-        vec![],
-    );
-    Dataset::new(21, vec![job])
-}
 
 /// The squeeze plus an abort of the same victim's first migration.
 fn squeeze_and_abort() -> FaultPlan {
-    FaultPlan {
-        resize_abort_at: Some(0),
-        ..FaultPlan::table_squeeze(0, 3)
-    }
+    let mut p = FaultPlan::table_squeeze(0, 3);
+    p.inject.resize_abort = true;
+    p
 }
 
 fn run(
@@ -231,7 +206,7 @@ fn check(ds: &Dataset, device: DeviceId, layout: TableLayoutKind, plan: FaultPla
 
 #[test]
 fn squeezed_resize_is_pinned_on_every_pairing_and_layout() {
-    let ds = long_tail();
+    let ds = long_tail_dataset(21, 80);
     for (device, pins, _) in pinned() {
         for (layout, pin) in TableLayoutKind::ALL.into_iter().zip(&pins) {
             check(&ds, device, layout, FaultPlan::table_squeeze(0, 3), pin);
@@ -241,7 +216,7 @@ fn squeezed_resize_is_pinned_on_every_pairing_and_layout() {
 
 #[test]
 fn aborted_migration_is_pinned_on_every_pairing() {
-    let ds = long_tail();
+    let ds = long_tail_dataset(21, 80);
     for (device, _, pin) in pinned() {
         check(
             &ds,
