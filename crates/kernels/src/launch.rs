@@ -239,14 +239,15 @@ fn escalation_ladder(
 /// attempt 0), so a transient plan clears on the first retry while a
 /// persistent one keeps faulting until the ladder is exhausted. Retry
 /// counters, traces and scheduled-replay slices merge into the run
-/// totals, but retries push no [`BatchProfile`]: their modeled time is
-/// not yet charged to [`KernelProfile::seconds`].
+/// totals, and each retry launch pushes its own [`BatchProfile`], tagged
+/// with its batch's `band`, so [`KernelProfile::seconds`] charges it.
 fn escalate_job(
     cfg: &GpuConfig,
     spec: &DeviceSpec,
     job: &KernelJob<'_>,
     victim_id: u64,
     first_fault: KernelFault,
+    band: usize,
     run: &mut RunTotals,
 ) -> (JobOutcome, Option<KernelOut>) {
     let mut fault = first_fault;
@@ -267,6 +268,8 @@ fn escalate_job(
         // the run's scheduled profile and tracks cover every launched
         // instruction.
         let launched = launch(cfg, spec, std::slice::from_ref(&retry), armed, victim_id, 1, run);
+        let (warps, time) = (launched.warps, launched.time);
+        run.batches.push(BatchProfile { band, warps, time });
         match launched.results.into_iter().next() {
             // A single-job launch always yields one result; an empty
             // result set would mean the engine dropped the job, which
@@ -644,7 +647,7 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
                 // completion untouched.
                 Err(fault) => {
                     let id = base + local as u64;
-                    escalate_job(cfg, spec, &jobs[local], id, fault, &mut run)
+                    escalate_job(cfg, spec, &jobs[local], id, fault, band, &mut run)
                 }
             };
             outcomes[idx] = outcomes[idx].combine(outcome);

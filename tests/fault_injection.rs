@@ -10,7 +10,7 @@ use locassm_core::{
 };
 use locassm_kernels::{
     launch_plan, numbered_jobs, run_local_assembly, GpuConfig, GpuRunResult, JobOutcome,
-    KernelFault, Side,
+    KernelFault, Side, TableLayoutKind,
 };
 use proptest::prelude::*;
 use simt::FaultPlan;
@@ -217,6 +217,58 @@ proptest! {
             prop_assert_eq!(&v.right, &oracle[0].right);
         } else {
             prop_assert_eq!(&v.left, &oracle[0].left);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The time ledger charges every launch: a run's profile holds one
+    /// `BatchProfile` per planned launch plus one per escalation retry,
+    /// and each retry is charged to its own batch's band. Seeded plans
+    /// (table-full, allocation, watchdog, or a table squeeze, transient
+    /// or persisting up to 3 attempts, under the k-ladder) × every layout
+    /// × resize on and off.
+    #[test]
+    fn every_launch_and_retry_is_charged_to_the_ledger(seed in 0u64..1_000_000) {
+        let ds = dataset();
+        let mut cfg = config(RetryPolicy::ladder(ds.k));
+        let plan = launch_plan(ds, &cfg);
+        let n_jobs = numbered_jobs(&plan).count() as u64;
+        let fault = if seed % 4 == 3 {
+            FaultPlan::table_squeeze(seed % n_jobs, 2 + (seed / 4 % 5) as u32)
+        } else {
+            FaultPlan::seeded(seed, n_jobs)
+        };
+        cfg.fault = Some(fault.persist(1 + (seed / 32 % 3) as u32));
+        let mut band_of = vec![0; ds.jobs.len()];
+        for l in &plan {
+            for &idx in &l.jobs {
+                band_of[idx] = l.band;
+            }
+        }
+        for layout in TableLayoutKind::ALL {
+            for resize in [false, true] {
+                cfg.layout = layout;
+                cfg.resize = resize;
+                let tag = format!("{fault:?} {layout} resize={resize}");
+                let r = run_local_assembly(ds, &cfg);
+                let retries: u32 = r.outcomes.iter().map(JobOutcome::attempts).sum();
+                prop_assert_eq!(
+                    r.profile.batches.len(),
+                    launch_plan(ds, &cfg).len() + retries as usize,
+                    "{}", tag
+                );
+                let mut bands: Vec<usize> = r.profile.batches.iter().map(|b| b.band).collect();
+                let mut expected: Vec<usize> = plan.iter().map(|l| l.band).collect();
+                for (idx, o) in r.outcomes.iter().enumerate() {
+                    expected.extend(std::iter::repeat_n(band_of[idx], o.attempts() as usize));
+                }
+                bands.sort_unstable();
+                expected.sort_unstable();
+                prop_assert_eq!(bands, expected, "{}: retries charged to their band", tag);
+            }
         }
     }
 }

@@ -82,7 +82,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
             [
                 Pin {
                     faulted: recovered(3, 1),
-                    seconds_bits: 0x3f4fbf9ca195e21a,
+                    seconds_bits: 0x3f51242df1c81e5e,
                     warp_instructions: 682_558,
                     watchdog_trips: 0,
                     traces: 57,
@@ -94,7 +94,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(20, 2),
-                    seconds_bits: 0x3f4da3ebe856c6e6,
+                    seconds_bits: 0x3f500b7e6140f04c,
                     warp_instructions: 680_239,
                     watchdog_trips: 0,
                     traces: 58,
@@ -106,7 +106,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(0, 1),
-                    seconds_bits: 0x3f4fbd5262031e66,
+                    seconds_bits: 0x3f51211881ef72db,
                     warp_instructions: 682_691,
                     watchdog_trips: 0,
                     traces: 57,
@@ -118,7 +118,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(0, 1),
-                    seconds_bits: 0x3f4fd063d17c996e,
+                    seconds_bits: 0x3f512aa139ac305f,
                     warp_instructions: 686_592,
                     watchdog_trips: 1,
                     traces: 57,
@@ -130,7 +130,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(20, 1),
-                    seconds_bits: 0x3f4db82d545463b0,
+                    seconds_bits: 0x3f5014af71c41c54,
                     warp_instructions: 683_833,
                     watchdog_trips: 0,
                     traces: 57,
@@ -148,7 +148,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
             [
                 Pin {
                     faulted: recovered(3, 1),
-                    seconds_bits: 0x3f5e0750eb805bb5,
+                    seconds_bits: 0x3f6048aaf67988c2,
                     warp_instructions: 599_945,
                     watchdog_trips: 0,
                     traces: 57,
@@ -160,7 +160,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(20, 2),
-                    seconds_bits: 0x3f5c837e20582ef9,
+                    seconds_bits: 0x3f5ec48ac7f24f81,
                     warp_instructions: 597_615,
                     watchdog_trips: 0,
                     traces: 58,
@@ -172,7 +172,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(0, 1),
-                    seconds_bits: 0x3f5e05fed66c88b9,
+                    seconds_bits: 0x3f6027a309f6c0af,
                     warp_instructions: 599_869,
                     watchdog_trips: 0,
                     traces: 57,
@@ -184,7 +184,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(0, 1),
-                    seconds_bits: 0x3f5e159b3807aeab,
+                    seconds_bits: 0x3f602f713ac453a8,
                     warp_instructions: 602_604,
                     watchdog_trips: 1,
                     traces: 57,
@@ -196,7 +196,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(20, 1),
-                    seconds_bits: 0x3f5c933f1c9414a3,
+                    seconds_bits: 0x3f5ed91a2e58de23,
                     warp_instructions: 600_721,
                     watchdog_trips: 0,
                     traces: 57,
@@ -214,7 +214,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
             [
                 Pin {
                     faulted: recovered(3, 1),
-                    seconds_bits: 0x3f5837faec651c5c,
+                    seconds_bits: 0x3f59c79831c9252c,
                     warp_instructions: 835_183,
                     watchdog_trips: 0,
                     traces: 57,
@@ -226,7 +226,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(20, 2),
-                    seconds_bits: 0x3f57008e4a598184,
+                    seconds_bits: 0x3f5879ab2e22c666,
                     warp_instructions: 832_647,
                     watchdog_trips: 0,
                     traces: 58,
@@ -238,7 +238,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(0, 1),
-                    seconds_bits: 0x3f5836326ed45aba,
+                    seconds_bits: 0x3f59c5ce573b3508,
                     warp_instructions: 835_486,
                     watchdog_trips: 0,
                     traces: 57,
@@ -250,7 +250,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(0, 1),
-                    seconds_bits: 0x3f584ea975bc0daa,
+                    seconds_bits: 0x3f59de455e22e7f8,
                     warp_instructions: 841_492,
                     watchdog_trips: 1,
                     traces: 57,
@@ -262,7 +262,7 @@ fn pinned() -> [(DeviceId, u32, [Pin; 5]); 3] {
                 },
                 Pin {
                     faulted: recovered(20, 1),
-                    seconds_bits: 0x3f5713b05447c232,
+                    seconds_bits: 0x3f588ec31a25bd98,
                     warp_instructions: 838_089,
                     watchdog_trips: 0,
                     traces: 57,

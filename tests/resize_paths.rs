@@ -94,7 +94,7 @@ fn pinned() -> [(DeviceId, [Pin; 3], Pin); 3] {
             ],
             Pin {
                 outcome: RECOVERED,
-                seconds_bits: 0x3f1a_2a9a_151d_1bec,
+                seconds_bits: 0x3f2b_ec3e_b1ed_70cb,
                 warp_instructions: 35_905,
                 hbm_bytes: 15_808,
                 races: 7,
@@ -127,7 +127,7 @@ fn pinned() -> [(DeviceId, [Pin; 3], Pin); 3] {
             ],
             Pin {
                 outcome: RECOVERED,
-                seconds_bits: 0x3f38_105f_855d_7d1c,
+                seconds_bits: 0x3f41_8d84_1aa9_0c00,
                 warp_instructions: 44_243,
                 hbm_bytes: 29_216,
                 races: 0,
@@ -160,7 +160,7 @@ fn pinned() -> [(DeviceId, [Pin; 3], Pin); 3] {
             ],
             Pin {
                 outcome: RECOVERED,
-                seconds_bits: 0x3f17_c082_44e5_6da9,
+                seconds_bits: 0x3f2e_2327_5819_b126,
                 warp_instructions: 34_082,
                 hbm_bytes: 14_432,
                 races: 0,
