@@ -60,7 +60,7 @@ pub struct InsertArgs {
 /// job's layout. Free of modeled charge: the dialects charge the cursor
 /// arithmetic exactly where the listings do (`construct` pays the initial
 /// reduction, [`advance`] pays each step).
-pub fn start_slots(warp: &Warp, job: &DeviceJob, args: &InsertArgs) -> SlotVec {
+fn start_slots(warp: &Warp, job: &DeviceJob, args: &InsertArgs) -> SlotVec {
     let lay = job.layout.as_layout();
     LaneVec::from_fn(warp.width(), |l| lay.slot_at(job, args.hash[l], 0))
 }
