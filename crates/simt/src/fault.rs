@@ -50,7 +50,7 @@ pub struct InjectedFaults {
 /// Job indices are *run-global*: the launch layer numbers every warp it
 /// launches across batches and sides in deterministic order (the same
 /// numbering the trace layer uses), and offsets each launch's local
-/// indices by [`crate::grid::LaunchConfig::fault_base`]. A driver that
+/// indices by [`crate::grid::LaunchConfig::fault_base`]. A caller that
 /// re-enqueues jobs (the service) names the victim in its own stable id
 /// space and rewrites `job` onto each run's numbering before launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
