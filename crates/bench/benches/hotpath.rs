@@ -1,50 +1,21 @@
-//! The warp hot path: scalar vs vectorized interpreter throughput.
+//! The warp hot path.
 //!
-//! Three groups of profiling evidence for the lane-vectorization work:
+//! Two groups of profiling evidence:
 //!
-//! * `hotpath_exec` — full simulated kernel runs, `scalar` vs
-//!   `vectorized`, one pair per dialect on its native device. The
-//!   acceptance bar (vectorized ≥ 1.15× scalar on CUDA/A100) is enforced
-//!   by the tier-1 smoke test in `poolbench`; this group shows the margin.
-//! * `hotpath_tuned` — the vectorized engine with paper-default knobs vs
+//! * `hotpath_tuned` — the engine with paper-default knobs vs
 //!   the autotuned choice (`kernels::tune`, swept once outside the timing
 //!   loop and replayed from its process-wide cache).
 //! * `warp_reset` — the micro-cost behind the pooled-path fix: resetting
 //!   a dirty pooled warp is O(1) bookkeeping under lazy arena zeroing,
 //!   versus constructing a fresh warp with its zeroed slab.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_specs::DeviceId;
 use locassm_kernels::{run_local_assembly, tune, GpuConfig};
 use memhier::HierarchyConfig;
-use simt::{ExecMode, Warp};
+use simt::Warp;
 use std::hint::black_box;
 use workloads::paper_dataset;
-
-fn bench_exec_modes(c: &mut Criterion) {
-    let ds = paper_dataset(21, 0.005, 11);
-    let mut g = c.benchmark_group("hotpath_exec");
-    g.sample_size(10);
-    for dev in [DeviceId::A100, DeviceId::Mi250x, DeviceId::Max1550] {
-        let mut cfg = GpuConfig::for_device(dev);
-        // Criterion runs inside its own harness; keep the simulation
-        // single-threaded for stable measurements.
-        cfg.parallel = false;
-        cfg.exec = ExecMode::Scalar;
-        g.bench_with_input(
-            BenchmarkId::new("scalar", dev.spec().short_name),
-            &ds,
-            |b, ds| b.iter(|| run_local_assembly(black_box(ds), &cfg).profile.total.warps),
-        );
-        cfg.exec = ExecMode::Vectorized;
-        g.bench_with_input(
-            BenchmarkId::new("vectorized", dev.spec().short_name),
-            &ds,
-            |b, ds| b.iter(|| run_local_assembly(black_box(ds), &cfg).profile.total.warps),
-        );
-    }
-    g.finish();
-}
 
 fn bench_tuned_vs_default(c: &mut Criterion) {
     let ds = paper_dataset(21, 0.005, 11);
@@ -71,17 +42,17 @@ fn bench_warp_reset(c: &mut Criterion) {
     let mut g = c.benchmark_group("warp_reset");
     let hier = HierarchyConfig::tiny();
     g.bench_function("fresh_construct", |b| {
-        b.iter(|| black_box(Warp::new(32, hier.clone())))
+        b.iter(|| black_box(Warp::new(32, hier)))
     });
-    let mut warp = Warp::new(32, hier.clone());
+    let mut warp = Warp::new(32, hier);
     g.bench_function("pooled_reset", |b| {
         b.iter(|| {
-            warp.reset(32, hier.clone());
+            warp.reset(32, hier);
             black_box(warp.width())
         })
     });
     g.finish();
 }
 
-criterion_group!(benches, bench_exec_modes, bench_tuned_vs_default, bench_warp_reset);
+criterion_group!(benches, bench_tuned_vs_default, bench_warp_reset);
 criterion_main!(benches);

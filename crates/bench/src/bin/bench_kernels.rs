@@ -2,12 +2,9 @@
 //!
 //! * `BENCH_kernels.json` — pooled-vs-fresh allocator metrics and
 //!   throughput on the paper's k = 21 dataset (A100/CUDA).
-//! * `BENCH_hotpath.json` — scalar vs pooled vs vectorized warp
-//!   throughput for all three dialects on their native devices, with the
-//!   `warps_per_sec` headline and speedup ratios.
 //! * `BENCH_sched.json` — analytic vs scheduled modeled kernel time for
 //!   all three dialects, with the replay's occupancy and latency-hiding
-//!   counters. Unlike the first two, this report is fully deterministic
+//!   counters. Unlike the first, this report is fully deterministic
 //!   (modeled quantities only) and reproduces bit for bit on any host.
 //! * `BENCH_layouts.json` — every table layout (linear, bucketed,
 //!   iceberg) on every native dialect: modeled time and traffic plus the
@@ -26,18 +23,18 @@
 //!   and service reports.
 //!
 //! ```text
-//! cargo run --release -p locassm-bench --bin bench-kernels [OUT_PATH [HOTPATH_OUT [SCHED_OUT [LAYOUT_OUT [SERVICE_OUT [RESIZE_OUT]]]]]]
+//! cargo run --release -p locassm-bench --bin bench-kernels [OUT_PATH [SCHED_OUT [LAYOUT_OUT [SERVICE_OUT [RESIZE_OUT]]]]]
 //! ```
 //!
-//! Paths default to `BENCH_kernels.json` / `BENCH_hotpath.json` /
-//! `BENCH_sched.json` / `BENCH_layouts.json` / `BENCH_service.json` /
-//! `BENCH_resize.json` in the current directory (run from the repo root
-//! to refresh the checked-in copies).
+//! Paths default to `BENCH_kernels.json` / `BENCH_sched.json` /
+//! `BENCH_layouts.json` / `BENCH_service.json` / `BENCH_resize.json` in
+//! the current directory (run from the repo root to refresh the
+//! checked-in copies).
 
 use gpu_specs::DeviceId;
 use locassm_bench::cli::require_ok;
 use locassm_bench::layoutbench::layout_bench;
-use locassm_bench::poolbench::{hotpath_bench, pool_bench};
+use locassm_bench::poolbench::pool_bench;
 use locassm_bench::resizebench::resize_bench;
 use locassm_bench::schedbench::sched_bench;
 use locassm_bench::servicebench::service_bench;
@@ -45,16 +42,14 @@ use locassm_bench::servicebench::service_bench;
 fn main() {
     let path =
         std::env::args().nth(1).unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let hot_path =
-        std::env::args().nth(2).unwrap_or_else(|| "BENCH_hotpath.json".to_string());
     let sched_path =
-        std::env::args().nth(3).unwrap_or_else(|| "BENCH_sched.json".to_string());
+        std::env::args().nth(2).unwrap_or_else(|| "BENCH_sched.json".to_string());
     let layout_path =
-        std::env::args().nth(4).unwrap_or_else(|| "BENCH_layouts.json".to_string());
+        std::env::args().nth(3).unwrap_or_else(|| "BENCH_layouts.json".to_string());
     let service_path =
-        std::env::args().nth(5).unwrap_or_else(|| "BENCH_service.json".to_string());
+        std::env::args().nth(4).unwrap_or_else(|| "BENCH_service.json".to_string());
     let resize_path =
-        std::env::args().nth(6).unwrap_or_else(|| "BENCH_resize.json".to_string());
+        std::env::args().nth(5).unwrap_or_else(|| "BENCH_resize.json".to_string());
 
     let r = pool_bench(DeviceId::A100, 21, 0.005, 11, 3, 5);
     let json = r.to_json();
@@ -79,29 +74,6 @@ fn main() {
         r.speedup()
     );
     eprintln!("  wrote {path}");
-
-    let h = hotpath_bench(21, 0.005, 11, 3, 5);
-    let hot_json = h.to_json();
-    require_ok(std::fs::write(&hot_path, &hot_json), &format!("write report {hot_path}"));
-
-    eprintln!(
-        "warp hot path, k={} ({} contigs, {} iterations, median of {} rounds):",
-        h.k, h.contigs, h.iterations, h.rounds
-    );
-    for d in &h.dialects {
-        eprintln!(
-            "  {:>8} ({:<4}): scalar {:>9.1} warps/s  pooled {:>9.1} ({:.2}x)  \
-             vectorized {:>9.1} ({:.2}x)",
-            d.device.spec().short_name,
-            d.dialect.to_string(),
-            d.scalar.warps_per_sec,
-            d.pooled.warps_per_sec,
-            d.pooled_speedup(),
-            d.vectorized.warps_per_sec,
-            d.vectorized_speedup()
-        );
-    }
-    eprintln!("  wrote {hot_path}");
 
     // Larger scale than the wall-clock reports: the replay's occupancy and
     // latency-hiding behaviour only shows once every SM holds several

@@ -1,5 +1,5 @@
-//! Launch-engine benchmarks: the pooled-vs-fresh `BENCH_kernels.json`
-//! emitter and the scalar/pooled/vectorized `BENCH_hotpath.json` emitter.
+//! Launch-engine benchmark: the pooled-vs-fresh `BENCH_kernels.json`
+//! emitter.
 //!
 //! Measures the same run twice — warps drawn from the process-wide pool
 //! versus constructed fresh per job — on the paper's k = 21 dataset, and
@@ -17,8 +17,7 @@
 use crate::alloc_count;
 use gpu_specs::DeviceId;
 use locassm_core::io::Dataset;
-use locassm_kernels::{run_local_assembly, Dialect, GpuConfig};
-use simt::ExecMode;
+use locassm_kernels::{run_local_assembly, GpuConfig};
 use std::time::Instant;
 
 /// Measurements for one launch mode (pooled or fresh).
@@ -119,13 +118,6 @@ fn mode_json(s: &ModeStats) -> String {
     )
 }
 
-fn speedup_vs(base: f64, other: f64) -> f64 {
-    if other == 0.0 {
-        return 1.0;
-    }
-    base / other
-}
-
 /// Run one mode `iterations` times and aggregate wall clock + allocator
 /// deltas. A warm-up run precedes measurement so the pooled mode is
 /// observed at steady state (pool populated) and the fresh mode pays no
@@ -204,163 +196,6 @@ pub fn pool_bench(
     }
 }
 
-/// One dialect's slice of the hot-path comparison: the same dataset run
-/// through the three engine generations on the dialect's native device.
-///
-/// * `scalar` — fresh warps, [`ExecMode::Scalar`]: the original per-lane
-///   interpreter, the pre-pooling baseline.
-/// * `pooled` — pooled warps, still scalar: the allocation-focused engine.
-/// * `vectorized` — pooled warps, [`ExecMode::Vectorized`]: batched
-///   hierarchy walks plus fingerprint-rejected probe compares.
-///
-/// All three produce bit-identical modeled state (pinned by the
-/// `exec_equivalence` suite in `locassm-kernels`); only host throughput
-/// differs, which is exactly what `warps_per_sec` reports.
-#[derive(Debug, Clone)]
-pub struct DialectHotpath {
-    pub device: DeviceId,
-    pub dialect: Dialect,
-    pub scalar: ModeStats,
-    pub pooled: ModeStats,
-    pub vectorized: ModeStats,
-}
-
-impl DialectHotpath {
-    /// Wall-clock speedup of the pooled engine over the scalar baseline.
-    pub fn pooled_speedup(&self) -> f64 {
-        speedup_vs(self.scalar.wall_seconds, self.pooled.wall_seconds)
-    }
-
-    /// Wall-clock speedup of the vectorized engine over the scalar baseline.
-    pub fn vectorized_speedup(&self) -> f64 {
-        speedup_vs(self.scalar.wall_seconds, self.vectorized.wall_seconds)
-    }
-}
-
-/// The full hot-path report (the `BENCH_hotpath.json` payload): one
-/// [`DialectHotpath`] per kernel dialect on its native device.
-#[derive(Debug, Clone)]
-pub struct HotpathReport {
-    pub k: usize,
-    pub scale: f64,
-    pub seed: u64,
-    pub contigs: usize,
-    pub iterations: u32,
-    pub rounds: u32,
-    pub dialects: Vec<DialectHotpath>,
-}
-
-impl HotpathReport {
-    /// The machine-readable report (the `BENCH_hotpath.json` payload).
-    /// Field order is stable and the device/dataset are echoed so two
-    /// reports from different machines are directly comparable.
-    pub fn to_json(&self) -> String {
-        let mut rows = String::new();
-        for (i, d) in self.dialects.iter().enumerate() {
-            rows.push_str(&format!(
-                concat!(
-                    "    {{\"device\": \"{}\", \"dialect\": \"{}\",\n",
-                    "     \"scalar\": {},\n",
-                    "     \"pooled\": {},\n",
-                    "     \"vectorized\": {},\n",
-                    "     \"speedup\": {{\"pooled_vs_scalar\": {:.2}, ",
-                    "\"vectorized_vs_scalar\": {:.2}}}}}{}\n"
-                ),
-                d.device,
-                d.dialect,
-                mode_json(&d.scalar),
-                mode_json(&d.pooled),
-                mode_json(&d.vectorized),
-                d.pooled_speedup(),
-                d.vectorized_speedup(),
-                if i + 1 == self.dialects.len() { "" } else { "," }
-            ));
-        }
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"warp_hot_path\",\n",
-                "  \"dataset\": {{\"k\": {}, \"scale\": {}, \"seed\": {}, \"contigs\": {}}},\n",
-                "  \"iterations\": {},\n",
-                "  \"rounds\": {},\n",
-                "  \"dialects\": [\n",
-                "{}",
-                "  ]\n",
-                "}}\n"
-            ),
-            self.k, self.scale, self.seed, self.contigs, self.iterations, self.rounds, rows
-        )
-    }
-}
-
-/// Measure the three engine variants on the listed devices.
-///
-/// Variants are interleaved round-robin for `rounds` passes and each
-/// variant keeps its median round (see `median_round`), so a background
-/// hiccup degrades one round of one variant rather than skewing a whole
-/// mode — and a single lucky quiet window cannot flip a close comparison
-/// either. Like [`pool_bench`], the simulation itself is single-threaded
-/// for stable wall-clock numbers.
-pub fn hotpath_bench_devices(
-    devices: &[DeviceId],
-    k: usize,
-    scale: f64,
-    seed: u64,
-    iterations: u32,
-    rounds: u32,
-) -> HotpathReport {
-    let ds = workloads::paper_dataset(k, scale, seed);
-    let mut dialects = Vec::new();
-    for &device in devices {
-        let mut base = GpuConfig::for_device(device);
-        base.parallel = false;
-        let variant = |pool: bool, exec: ExecMode| {
-            let mut c = base.clone();
-            c.pool = pool;
-            c.exec = exec;
-            c
-        };
-        let cfgs = [
-            variant(false, ExecMode::Scalar),
-            variant(true, ExecMode::Scalar),
-            variant(true, ExecMode::Vectorized),
-        ];
-        let mut samples: [Vec<ModeStats>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for _ in 0..rounds.max(1) {
-            for (slot, cfg) in cfgs.iter().enumerate() {
-                samples[slot].push(measure_mode(&ds, cfg, iterations));
-            }
-        }
-        let [scalar, pooled, vectorized] = samples.map(median_round);
-        dialects.push(DialectHotpath {
-            device,
-            dialect: Dialect::native_for(device),
-            scalar,
-            pooled,
-            vectorized,
-        });
-    }
-    HotpathReport { k, scale, seed, contigs: ds.jobs.len(), iterations, rounds, dialects }
-}
-
-/// The full three-dialect hot-path comparison on a paper dataset.
-pub fn hotpath_bench(
-    k: usize,
-    scale: f64,
-    seed: u64,
-    iterations: u32,
-    rounds: u32,
-) -> HotpathReport {
-    hotpath_bench_devices(
-        &[DeviceId::A100, DeviceId::Mi250x, DeviceId::Max1550],
-        k,
-        scale,
-        seed,
-        iterations,
-        rounds,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,52 +246,27 @@ mod tests {
         std::fs::write(out, &json).expect("write smoke report");
     }
 
-    /// Tier-1 throughput smoke (the PR's headline bar): on the primary
-    /// CUDA/A100 pairing the vectorized interpreter must beat the scalar
-    /// fresh-warp baseline by ≥ 1.15×, and the pooled engine must not be
-    /// slower than fresh warps. Median-of-5 interleaved rounds keep both
-    /// ratios robust to background noise even in unoptimized test builds;
-    /// the release bench binary reports comfortably larger margins.
-    ///
-    /// The dataset scale matches the shipped `BENCH_hotpath.json` run:
+    /// Host-timing measurement, kept apart from the allocator checks
+    /// above: with the default (Vectorized) warps, the pooled engine must
+    /// not be slower than fresh warps. Median-of-5 interleaved rounds keep
+    /// the ratio robust to background noise even in unoptimized test
+    /// builds. The dataset scale is the one `bench-kernels` reports at:
     /// below ~0.005 the jobs degenerate to a handful of reads each and
     /// fixed per-launch host work (staging, binning, result assembly)
     /// drowns the construct/walk phases the bar is about.
     #[test]
-    fn hot_path_meets_the_throughput_bars() {
+    fn pooled_engine_is_not_slower_than_fresh_warps() {
         let _serial = measurement_lock();
-        let r = hotpath_bench_devices(&[DeviceId::A100], 21, 0.005, 42, 1, 5);
-        let d = &r.dialects[0];
-        assert_eq!(d.scalar.warps, d.pooled.warps, "same work in all variants");
-        assert_eq!(d.scalar.warps, d.vectorized.warps, "same work in all variants");
+        let r = pool_bench(DeviceId::A100, 21, 0.005, 42, 1, 5);
+        assert_eq!(r.fresh.warps, r.pooled.warps, "same work in both modes");
         assert!(
-            d.vectorized_speedup() >= 1.15,
-            "vectorized must be ≥1.15x the scalar baseline, got {:.2}x \
+            r.speedup() >= 1.0,
+            "host-timing measurement (wall clock, median of 5 interleaved rounds): \
+             pooled warps must not be slower than fresh ones, got {:.2}x \
              ({:.1} vs {:.1} warps/s)",
-            d.vectorized_speedup(),
-            d.vectorized.warps_per_sec,
-            d.scalar.warps_per_sec
+            r.speedup(),
+            r.pooled.warps_per_sec,
+            r.fresh.warps_per_sec
         );
-        assert!(
-            d.pooled_speedup() >= 1.0,
-            "pooled must not be slower than fresh warps, got {:.2}x \
-             ({:.1} vs {:.1} warps/s)",
-            d.pooled_speedup(),
-            d.pooled.warps_per_sec,
-            d.scalar.warps_per_sec
-        );
-
-        let json = r.to_json();
-        for key in [
-            "\"bench\": \"warp_hot_path\"",
-            "\"dialect\": \"CUDA\"",
-            "\"warps_per_sec\"",
-            "\"pooled_vs_scalar\"",
-            "\"vectorized_vs_scalar\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_hotpath.smoke.json");
-        std::fs::write(out, &json).expect("write smoke report");
     }
 }

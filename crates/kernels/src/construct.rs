@@ -59,8 +59,8 @@ pub fn construct_hash_table(
             // a start slot (mod table size for linear probing, a bucket
             // index otherwise) — the reduction's iops are charged here
             // either way. The simulated kernel pays the murmur iops too;
-            // the host reads the value from the interned shadow when one
-            // exists (Vectorized staging) and recomputes it otherwise.
+            // the host reads the value from the interned shadow and
+            // recomputes it only where the shadow holds the 0 sentinel.
             warp.iop(mask, murmur_intops(job.k));
             warp.iop(mask, 2);
             let hash = LaneVec::from_fn(width, |l| {

@@ -14,7 +14,7 @@ use crate::probe::{
     advance, begin_insert, bucket_crossing_vote, cas_claim, compare_stored_keys, probe_wrapped,
     publish_key, split_claims, unmatched, InsertArgs, SlotVec,
 };
-use simt::{LaneVec, Warp};
+use simt::Warp;
 
 /// Find-or-claim the entry for each active lane's k-mer. Returns the slot
 /// index per lane, or `HashTableFull` if a probe chain wraps the table.
@@ -30,7 +30,6 @@ pub fn ht_get_atomic(
     args: &InsertArgs,
 ) -> Result<SlotVec, KernelFault> {
     let (probe_bound, mut slot) = begin_insert(warp, job, args)?;
-    let warp_width = warp.width();
     let mut searching = args.mask;
 
     // The CUDA listing detects `hash_val == orig_hash` after wrapping and
@@ -49,9 +48,7 @@ pub fn ht_get_atomic(
         // lanes probing the same entry this round. The groups themselves are
         // unused (the CAS result resolves collisions); the collective is
         // issued for its modeled cost.
-        warp.match_any_discard(searching, || {
-            LaneVec::from_fn(warp_width, |l| job.entry_field(slot[l], 0))
-        });
+        warp.match_any_discard(searching);
 
         // Winners publish the key.
         let (winners, losers) = split_claims(searching, &prev);
@@ -84,7 +81,7 @@ mod tests {
     use locassm_core::walk::WalkConfig;
     use locassm_core::Read;
     use memhier::HierarchyConfig;
-    use simt::Mask;
+    use simt::{LaneVec, Mask};
 
     fn setup(read: &[u8], k: usize) -> (Warp, DeviceJob) {
         let mut warp = Warp::new(32, HierarchyConfig::tiny());

@@ -68,10 +68,10 @@ pub struct GpuConfig {
     /// overridden per dialect at launch time. With every check off, runs
     /// are bit-identical to an unsanitized build.
     pub sanitize: SanitizerConfig,
-    /// Interpreter execution mode for every warp (see [`ExecMode`]).
-    /// `Vectorized` (the default) takes the batched hot path; `Scalar`
-    /// keeps the reference per-lane interpreter as a benchmarkable
-    /// baseline. All modeled state is bit-identical either way.
+    /// Execution mode for every warp (see [`ExecMode`]). `Vectorized`
+    /// (the default) times the run analytically; `Scheduled` also records
+    /// per-warp timelines and replays them. Results, counters, traces and
+    /// sanitizer reports are bit-identical either way.
     pub exec: ExecMode,
     /// Base multiplier on the host-side hash-table slot estimate applied
     /// to every first-attempt job (escalation grows it further on

@@ -16,7 +16,7 @@ use locassm_core::murmur::{murmur_hash_aligned2, murmur_intops, DEFAULT_SEED};
 use locassm_core::walk::WalkConfig;
 use locassm_core::Read;
 use memhier::Addr;
-use simt::{ExecMode, Warp};
+use simt::Warp;
 use std::collections::HashMap;
 
 /// Hash-table entry layout (stride and field offsets, bytes).
@@ -104,11 +104,9 @@ pub struct DeviceJob {
     /// (0 where no whole k-mer starts — readers treat 0 as "no
     /// fingerprint" and fall back to hashing/comparing the bytes).
     /// Because [`key_hash`] is exactly the table hash, the shadow serves
-    /// double duty in Vectorized runs: construction reads its slot hash
-    /// from it, and probe compares reject mismatched keys against it
-    /// without touching the key bytes. Interned at stage time in
-    /// Vectorized runs only; empty in Scalar runs, so the baseline's
-    /// host work is untouched.
+    /// double duty: construction reads its slot hash from it, and probe
+    /// compares reject mismatched keys against it without touching the
+    /// key bytes. Interned at stage time; host-side only.
     pub fps: Vec<u32>,
 }
 
@@ -179,13 +177,9 @@ impl DeviceJob {
         let visited = warp.mem.try_alloc(walk.max_walk_len as u64 * 4)?;
         let out = warp.mem.try_alloc(walk.max_walk_len as u64)?;
 
-        // Vectorized runs intern one fingerprint per k-mer start so probe
-        // compares can reject mismatches without touching the key bytes;
-        // the Scalar baseline skips the shadow entirely.
-        let fps = match warp.exec() {
-            ExecMode::Vectorized | ExecMode::Scheduled => intern_fingerprints(reads, total, k),
-            ExecMode::Scalar => Vec::new(),
-        };
+        // One interned fingerprint per k-mer start lets probe compares
+        // reject mismatches without touching the key bytes.
+        let fps = intern_fingerprints(reads, total, k);
 
         let mut job = DeviceJob {
             k,
@@ -236,8 +230,8 @@ impl DeviceJob {
     }
 
     /// The interned hash of the k-mer at reads-buffer offset `off`, or
-    /// `None` when no shadow exists (Scalar runs) or no whole k-mer
-    /// starts there. `None` means "recompute / fall back to the byte
+    /// `None` when no whole k-mer starts there (or its hash is the 0
+    /// sentinel). `None` means "recompute / fall back to the byte
     /// compare", never "not equal".
     #[inline]
     pub fn key_fp(&self, off: u32) -> Option<u32> {
@@ -498,15 +492,6 @@ mod tests {
         // Equal keys ⇒ equal fingerprints (offsets 0 and 4 are both "ACGT").
         assert_eq!(job.key_fp(0), job.key_fp(4));
         assert_ne!(job.key_fp(0), job.key_fp(1));
-    }
-
-    #[test]
-    fn scalar_staging_skips_the_fingerprint_shadow() {
-        let mut warp = Warp::new(32, HierarchyConfig::tiny());
-        warp.set_exec(simt::ExecMode::Scalar);
-        let job = stage_ok(&mut warp, b"ACGTACGT", &reads(), 4);
-        assert!(job.fps.is_empty());
-        assert_eq!(job.key_fp(0), None, "no shadow means byte-compare fallback");
     }
 
     #[test]

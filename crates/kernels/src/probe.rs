@@ -181,10 +181,10 @@ pub fn compare_stored_keys(
 
     // Semantic truth from memory contents. The modeled cost above is
     // already charged; what remains is host-side only, so the staged
-    // fingerprint shadow (Vectorized runs) may reject mismatches without
-    // the k-byte compare: equal offsets alias the same bytes, and unequal
-    // fingerprints imply unequal keys. Equal fingerprints (or a missing
-    // shadow — Scalar runs) fall back to the byte compare.
+    // fingerprint shadow may reject mismatches without the k-byte
+    // compare: equal offsets alias the same bytes, and unequal
+    // fingerprints imply unequal keys. Equal fingerprints (or an absent
+    // one) fall back to the byte compare.
     for l in mask.lanes() {
         let s_off = stored_off[l];
         let k_off = args.key_off[l];
@@ -335,7 +335,7 @@ mod tests {
             if strip_fps {
                 job.fps.clear();
             } else {
-                assert!(!job.fps.is_empty(), "Vectorized staging interns fingerprints");
+                assert!(!job.fps.is_empty(), "staging interns fingerprints");
             }
             let mask = Mask(0b11);
             let slot = LaneVec::from_fn(32, |l| 3 + l);

@@ -95,11 +95,10 @@ pub fn mer_walk_kernel(warp: &mut Warp, job: &DeviceJob) -> Result<Walk, KernelF
         steps += 1;
 
         // ext = k-mer_ht.lookup(k-mer): probe the layout's sequence for
-        // the window's hash. `fp` is the window's table hash, so in
-        // Vectorized runs (which carry an interned hash shadow) the probe
-        // loop can reject mismatched stored keys against it without the
-        // k-byte compare. Modeled loads/iops are charged identically
-        // either way. The walk is single-lane, so no bucket-crossing
+        // the window's hash. `fp` is the window's table hash, so the
+        // probe loop can reject mismatched stored keys against the
+        // interned hash shadow without the k-byte compare. Modeled
+        // loads/iops are charged identically either way. The walk is single-lane, so no bucket-crossing
         // votes are issued — collectives are the dialect loops' cost.
         let mut slot = lay.slot_at(job, fp, 0);
         warp.iop(lm, 2);

@@ -1,16 +1,16 @@
-//! Scalar/Vectorized/Scheduled bit-identity across the whole pipeline.
+//! Observation layers never move modeled state, across the whole pipeline.
 //!
-//! `ExecMode::Vectorized` is a host-side interpreter fast path: batched
-//! memory-hierarchy walks, skipped `LaneVec` construction on single-lane
-//! accesses, and fingerprint-rejected probe compares. None of it may be
-//! observable in modeled state. `ExecMode::Scheduled` rides the same fast
-//! path and additionally records per-warp timelines for the event-driven
-//! replay; the recorder is observational only, so every modeled result and
-//! counter must still match Scalar bit for bit. This suite pins that
-//! contract at full pipeline scope: all three dialects (via their native
-//! devices), the four paper k presets, parallel and serial execution —
-//! comparing extensions, fault outcomes, every aggregate counter, both
-//! phase splits, full warp traces, and sanitizer reports.
+//! `ExecMode::Scheduled` records per-warp timelines for the event-driven
+//! replay, and the warp sanitizer shadows every access; both are
+//! observational only. This suite pins that contract at full pipeline
+//! scope against the traced, fully sanitized `Vectorized` run: all three
+//! dialects (via their native devices), the four paper k presets, every
+//! table layout, parallel and serial execution. A Scheduled run must
+//! match it in extensions, fault outcomes, every aggregate counter, both
+//! phase splits, full warp traces and sanitizer reports; an unsanitized
+//! run must match it in everything but the sanitizer's own output (its
+//! report and the trace events its findings add). The `exec_pins` suite
+//! pins the `Vectorized` values themselves.
 //!
 //! The only quantities allowed to differ under `Scheduled` are the modeled
 //! seconds (the walk latency term comes from the replay instead of the
@@ -37,41 +37,57 @@ fn run_mode(
     run_local_assembly(ds, &cfg)
 }
 
-/// Everything that must match between `a` and the Scalar baseline `sca`,
-/// regardless of execution mode. Modeled seconds are pinned separately:
-/// Vectorized must reproduce them exactly, Scheduled legitimately differs
-/// (simulated latency term).
-fn assert_modeled_state_identical(a: &GpuRunResult, sca: &GpuRunResult, tag: &str) {
-    assert_eq!(a.extensions, sca.extensions, "{tag}: extensions");
-    assert_eq!(a.outcomes, sca.outcomes, "{tag}: outcomes");
-    assert_eq!(a.profile.total, sca.profile.total, "{tag}: aggregate counters");
+/// Everything the kernel models that must match between `a` and the
+/// `Vectorized` baseline `vec`, whatever observes the run. Modeled
+/// seconds are pinned separately: an unsanitized run must reproduce them
+/// exactly, Scheduled legitimately differs (simulated latency term).
+fn assert_modeled_state_identical(a: &GpuRunResult, vec: &GpuRunResult, tag: &str) {
+    assert_eq!(a.extensions, vec.extensions, "{tag}: extensions");
+    assert_eq!(a.outcomes, vec.outcomes, "{tag}: outcomes");
+    assert_eq!(a.profile.total, vec.profile.total, "{tag}: aggregate counters");
     assert_eq!(
-        a.profile.phases.construct, sca.profile.phases.construct,
+        a.profile.phases.construct, vec.profile.phases.construct,
         "{tag}: construct phase"
     );
-    assert_eq!(a.profile.phases.walk, sca.profile.phases.walk, "{tag}: walk phase");
+    assert_eq!(a.profile.phases.walk, vec.profile.phases.walk, "{tag}: walk phase");
     assert_eq!(
-        a.profile.phases.walk_budget, sca.profile.phases.walk_budget,
+        a.profile.phases.walk_budget, vec.profile.phases.walk_budget,
         "{tag}: walk budget"
     );
     assert_eq!(
-        a.profile.phases.watchdog_trips, sca.profile.phases.watchdog_trips,
+        a.profile.phases.watchdog_trips, vec.profile.phases.watchdog_trips,
         "{tag}: watchdog trips"
     );
-    assert_eq!(a.traces, sca.traces, "{tag}: warp traces");
-    assert_eq!(a.san, sca.san, "{tag}: sanitizer reports");
 }
 
-fn assert_bit_identical(ds: &locassm_core::io::Dataset, device: DeviceId, parallel: bool, tag: &str) {
-    let sca = run_mode(ds, device, parallel, ExecMode::Scalar);
+/// [`assert_modeled_state_identical`] plus the observation layers'
+/// output: warp traces and sanitizer reports.
+fn assert_observed_identical(a: &GpuRunResult, vec: &GpuRunResult, tag: &str) {
+    assert_modeled_state_identical(a, vec, tag);
+    assert_eq!(a.traces, vec.traces, "{tag}: warp traces");
+    assert_eq!(a.san, vec.san, "{tag}: sanitizer reports");
+}
 
-    let vec = run_mode(ds, device, parallel, ExecMode::Vectorized);
-    assert_modeled_state_identical(&vec, &sca, &format!("{tag} vectorized"));
-    assert_eq!(vec.profile.seconds(), sca.profile.seconds(), "{tag}: modeled seconds");
+/// `cfg` run three ways: the traced, sanitized `Vectorized` baseline, the
+/// same run unsanitized, and the same run `Scheduled`.
+fn assert_observation_free(ds: &locassm_core::io::Dataset, cfg: &GpuConfig, tag: &str) {
+    let mut cfg = cfg.clone();
+    cfg.trace = true;
+    cfg.sanitize = SanitizerConfig::all();
+    cfg.exec = ExecMode::Vectorized;
+    let vec = run_local_assembly(ds, &cfg);
     assert!(vec.profile.phases.sched.is_none(), "{tag}: counter-mode sched profile");
 
-    let schd = run_mode(ds, device, parallel, ExecMode::Scheduled);
-    assert_modeled_state_identical(&schd, &sca, &format!("{tag} scheduled"));
+    let mut plain = cfg.clone();
+    plain.sanitize = SanitizerConfig::default();
+    let plain = run_local_assembly(ds, &plain);
+    assert_modeled_state_identical(&plain, &vec, &format!("{tag} unsanitized"));
+    assert_eq!(plain.profile.seconds(), vec.profile.seconds(), "{tag}: modeled seconds");
+    assert!(plain.san.findings.is_empty() && plain.san.lints.is_empty(), "{tag}: no sanitizer");
+
+    cfg.exec = ExecMode::Scheduled;
+    let schd = run_local_assembly(ds, &cfg);
+    assert_observed_identical(&schd, &vec, &format!("{tag} scheduled"));
     assert_sched_profile_sane(&schd, &format!("{tag} scheduled"));
 }
 
@@ -103,13 +119,15 @@ fn assert_sched_profile_sane(r: &GpuRunResult, tag: &str) {
 }
 
 /// The full matrix on the primary k = 21 preset: three dialects ×
-/// parallel/serial × all three execution modes, traced and fully sanitized.
+/// parallel/serial, traced, fully sanitized, unsanitized and scheduled.
 #[test]
 fn exec_modes_bit_identical_all_dialects_k21() {
     let ds = paper_dataset(21, 0.002, 42);
     for device in DEVICES {
         for parallel in [true, false] {
-            assert_bit_identical(&ds, device, parallel, &format!("{device} parallel={parallel}"));
+            let mut cfg = GpuConfig::for_device(device);
+            cfg.parallel = parallel;
+            assert_observation_free(&ds, &cfg, &format!("{device} parallel={parallel}"));
         }
     }
 }
@@ -122,38 +140,27 @@ fn exec_modes_bit_identical_remaining_k_presets() {
     for (k, seed) in [(33usize, 7u64), (55, 13), (77, 99)] {
         let ds = paper_dataset(k, 0.002, seed);
         for device in DEVICES {
-            assert_bit_identical(&ds, device, false, &format!("k={k} {device}"));
+            let mut cfg = GpuConfig::for_device(device);
+            cfg.parallel = false;
+            assert_observation_free(&ds, &cfg, &format!("k={k} {device}"));
         }
     }
 }
 
 /// The table-layout axis of the matrix: every layout × every dialect must
-/// hold the same Scalar/Vectorized/Scheduled bit-identity the linear
-/// default does — the vectorized fast path's fingerprint rejection and
-/// the scheduled recorder know nothing about bucket boundaries, so a
-/// divergence here means a layout leaked into modeled state.
+/// hold the same bit-identity the linear default does — the scheduled
+/// recorder and the sanitizer know nothing about bucket boundaries, so a
+/// divergence here means a layout leaked an observation layer into
+/// modeled state.
 #[test]
 fn exec_modes_bit_identical_across_table_layouts() {
     let ds = paper_dataset(21, 0.002, 42);
     for layout in TableLayoutKind::ALL {
         for device in DEVICES {
-            let tag = format!("layout={layout} {device}");
-            let run = |exec| {
-                let mut cfg = GpuConfig::for_device(device);
-                cfg.parallel = false;
-                cfg.trace = true;
-                cfg.sanitize = SanitizerConfig::all();
-                cfg.exec = exec;
-                cfg.layout = layout;
-                run_local_assembly(&ds, &cfg)
-            };
-            let sca = run(ExecMode::Scalar);
-            let vec = run(ExecMode::Vectorized);
-            assert_modeled_state_identical(&vec, &sca, &format!("{tag} vectorized"));
-            assert_eq!(vec.profile.seconds(), sca.profile.seconds(), "{tag}: seconds");
-            let schd = run(ExecMode::Scheduled);
-            assert_modeled_state_identical(&schd, &sca, &format!("{tag} scheduled"));
-            assert_sched_profile_sane(&schd, &format!("{tag} scheduled"));
+            let mut cfg = GpuConfig::for_device(device);
+            cfg.parallel = false;
+            cfg.layout = layout;
+            assert_observation_free(&ds, &cfg, &format!("layout={layout} {device}"));
         }
     }
 }
@@ -169,7 +176,7 @@ fn exec_modes_bit_identical_across_table_layouts() {
 fn armed_but_untriggered_resize_is_bit_identical() {
     let ds = paper_dataset(21, 0.002, 42);
     for device in DEVICES {
-        for exec in [ExecMode::Scalar, ExecMode::Vectorized] {
+        for exec in [ExecMode::Vectorized, ExecMode::Scheduled] {
             let run = |resize| {
                 let mut cfg = GpuConfig::for_device(device);
                 cfg.parallel = false;
@@ -182,7 +189,7 @@ fn armed_but_untriggered_resize_is_bit_identical() {
             let off = run(false);
             let on = run(true);
             let tag = format!("resize-armed {device} {exec:?}");
-            assert_modeled_state_identical(&on, &off, &tag);
+            assert_observed_identical(&on, &off, &tag);
             assert_eq!(on.profile.seconds(), off.profile.seconds(), "{tag}: seconds");
         }
     }

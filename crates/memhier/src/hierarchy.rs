@@ -98,39 +98,17 @@ impl MemHierarchy {
 
     /// Route one warp-wide coalesced access through the hierarchy.
     ///
-    /// Counts one memory instruction and walks every unique sector. Reads go
-    /// L1 → L2 → HBM. Writes model the GPU's write-through, no-write-allocate
-    /// L1: they are sent directly to the (write-back) L2, whose dirty
-    /// evictions are charged as HBM write transactions.
+    /// Counts one memory instruction and walks every unique sector in one
+    /// pass. Reads go L1 → L2 → HBM. Writes model the GPU's write-through,
+    /// no-write-allocate L1: they are sent directly to the (write-back)
+    /// L2, whose dirty evictions are charged as HBM write transactions.
+    /// Write-backs and whole-line overfetch are settled into the stats
+    /// once, after the loop: those cache counters are monotone, so one
+    /// sync charges exactly what a sync per sector would.
     ///
     /// Returns the deepest [`MemLevel`] any sector reached — the access's
     /// latency class (the slowest sector gates the warp).
     pub fn access(&mut self, coalesced: &CoalesceResult, kind: AccessKind) -> MemLevel {
-        self.stats.mem_instructions += 1;
-        let mut level = MemLevel::L1;
-        for &sector in &coalesced.sectors {
-            let l = match kind {
-                AccessKind::Read => self.read_sector(sector),
-                AccessKind::Write => self.write_sector(sector),
-            };
-            level = level.max(l);
-        }
-        level
-    }
-
-    /// Batched variant of [`MemHierarchy::access`]: one pass over the
-    /// coalesced sector set with the access kind hoisted out of the loop
-    /// and a single write-back/overfetch sync at the end instead of one
-    /// per sector.
-    ///
-    /// Produces **identical** stats to [`MemHierarchy::access`] for the
-    /// same input: the sync only settles cumulative cache counters
-    /// (write-backs, whole-line overfetch) into the stats, and those
-    /// deltas are monotone — syncing once after the loop charges exactly
-    /// the transactions the per-sector syncs would have charged.
-    ///
-    /// Returns the deepest [`MemLevel`] reached, like [`MemHierarchy::access`].
-    pub fn access_batched(&mut self, coalesced: &CoalesceResult, kind: AccessKind) -> MemLevel {
         self.stats.mem_instructions += 1;
         let mut level = MemLevel::L1;
         match kind {
@@ -172,12 +150,6 @@ impl MemHierarchy {
         level
     }
 
-    fn read_sector(&mut self, sector: u64) -> MemLevel {
-        let level = self.read_sector_unsynced(sector);
-        self.sync_writebacks();
-        level
-    }
-
     fn read_sector_unsynced(&mut self, sector: u64) -> MemLevel {
         self.stats.l1.requests += 1;
         let l1_out = self.l1.access_sector(sector, false);
@@ -188,16 +160,6 @@ impl MemHierarchy {
             self.stats.l1.hits += 1;
             MemLevel::L1
         }
-    }
-
-    fn write_sector(&mut self, sector: u64) -> MemLevel {
-        // Write-through / no-write-allocate L1: the write goes straight to
-        // L2 and marks the sector dirty there. A write miss at L2 allocates
-        // the line with a sector fill from HBM (our writes are narrower than
-        // a sector, so the fill is required for correctness on hardware).
-        let level = self.l2_request(sector, true);
-        self.sync_writebacks();
-        level
     }
 
     fn l2_request(&mut self, sector: u64, write: bool) -> MemLevel {
@@ -260,6 +222,26 @@ mod tests {
         MemHierarchy::new(HierarchyConfig::tiny())
     }
 
+    /// The per-sector reference walk [`MemHierarchy::access`] must match:
+    /// each sector resolved and its write-backs/overfetch synced on its
+    /// own, writes sent straight to the L2 (a write miss allocates the
+    /// line with a sector fill from HBM).
+    impl MemHierarchy {
+        fn access_per_sector(&mut self, coalesced: &CoalesceResult, kind: AccessKind) -> MemLevel {
+            self.stats.mem_instructions += 1;
+            let mut level = MemLevel::L1;
+            for &sector in &coalesced.sectors {
+                let l = match kind {
+                    AccessKind::Read => self.read_sector_unsynced(sector),
+                    AccessKind::Write => self.l2_request(sector, true),
+                };
+                self.sync_writebacks();
+                level = level.max(l);
+            }
+            level
+        }
+    }
+
     #[test]
     fn cold_read_reaches_hbm() {
         let mut h = hier();
@@ -291,8 +273,8 @@ mod tests {
         assert_eq!(MemLevel::L1.max(MemLevel::Hbm), MemLevel::Hbm);
     }
 
-    /// The batched path reports the same latency class as the reference
-    /// path — the slowest sector of the warp-wide access.
+    /// The batched walk reports the same latency class as the per-sector
+    /// reference — the slowest sector of the warp-wide access.
     #[test]
     fn access_levels_agree_across_paths() {
         let cfg = HierarchyConfig::tiny();
@@ -304,7 +286,7 @@ mod tests {
                 let acc = coalesce_sectors([(addr, 64u32), (addr + 2048, 4u32)]);
                 let kind =
                     if (line + round) % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-                assert_eq!(a.access(&acc, kind), b.access_batched(&acc, kind));
+                assert_eq!(a.access_per_sector(&acc, kind), b.access(&acc, kind));
             }
         }
     }
@@ -429,9 +411,11 @@ mod tests {
 
     #[test]
     fn batched_access_matches_per_sector_access() {
-        // Same access stream through both entry points — including dirty
+        // Same access stream through both walks — including dirty
         // evictions and (non-sectored) whole-line overfetch, the two paths
-        // sync_writebacks settles — must produce identical stats.
+        // sync_writebacks settles — must produce identical stats after
+        // every access (the warp's HBM trace events read them mid-run),
+        // not just after the final flush.
         let l2 = CacheConfig::new(1 << 12, 128, 8);
         for l2_cfg in [l2, l2.non_sectored()] {
             let cfg = HierarchyConfig { l1: CacheConfig::new(512, 128, 2), l2: l2_cfg };
@@ -443,8 +427,8 @@ mod tests {
                     let acc = coalesce_sectors([(addr, 64u32), (addr + 4096, 4u32)]);
                     let kind =
                         if (line + round) % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-                    a.access(&acc, kind);
-                    b.access_batched(&acc, kind);
+                    assert_eq!(a.access_per_sector(&acc, kind), b.access(&acc, kind));
+                    assert_eq!(a.stats(), b.stats(), "line {line} round {round}");
                 }
             }
             a.flush();

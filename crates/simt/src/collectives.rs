@@ -86,17 +86,9 @@ impl Warp {
     /// `__match_any_sync` whose groups the kernel discards (the CUDA
     /// dialect issues the collective for its cost; the CAS result already
     /// resolves collisions). Charges exactly what [`Warp::match_any`]
-    /// charges — same counters, trace event and sanitizer checks. The
-    /// scalar reference path still materializes the keys and computes the
-    /// groups like the original interpreter; the vectorized path skips the
-    /// key construction and the O(width²) grouping, which no observable
-    /// state depends on.
-    pub fn match_any_discard(&mut self, mask: Mask, keys: impl FnOnce() -> LaneVec<u64>) {
-        if self.exec() == crate::ExecMode::Scalar {
-            let keys = keys();
-            let _ = self.match_any(mask, &keys);
-            return;
-        }
+    /// charges — same counters, trace event and sanitizer checks — without
+    /// the O(width²) grouping no observable state depends on.
+    pub fn match_any_discard(&mut self, mask: Mask) {
         self.count_collective(1, "match_any");
         self.san_collective("match_any", mask);
     }

@@ -77,12 +77,11 @@ pub struct LaunchConfig {
     /// bit-identical with it on or off (absent findings, which add trace
     /// events).
     pub sanitize: SanitizerConfig,
-    /// Interpreter execution mode for every warp of the launch (see
-    /// [`ExecMode`]). `Vectorized` by default; `Scalar` keeps the
-    /// reference per-lane path as a benchmarkable baseline; `Scheduled`
-    /// additionally records per-warp timelines in
-    /// [`LaunchOutput::timelines`] for the event-driven scheduler replay
-    /// ([`crate::sched`]). Bit-identical in all modeled state either way.
+    /// Execution mode for every warp of the launch (see [`ExecMode`]).
+    /// `Vectorized` by default; `Scheduled` additionally records per-warp
+    /// timelines in [`LaunchOutput::timelines`] for the event-driven
+    /// scheduler replay ([`crate::sched`]). Bit-identical in all modeled
+    /// state either way.
     pub exec: ExecMode,
 }
 
@@ -183,7 +182,6 @@ fn acquire_warp(cfg: &LaunchConfig) -> Warp {
     } else {
         Warp::new(cfg.width, cfg.hierarchy)
     };
-    warp.set_exec(cfg.exec);
     if cfg.arena_hint > 0 {
         warp.mem.ensure_capacity(crate::mem::NULL_PAGE + cfg.arena_hint);
     }
@@ -422,25 +420,6 @@ mod tests {
             assert_eq!(a.counters, b.counters, "parallel={parallel}");
             assert_eq!(a.traces, b.traces, "parallel={parallel}");
             assert_eq!(a.warp_instruction_counts, b.warp_instruction_counts);
-        }
-    }
-
-    #[test]
-    fn scalar_and_vectorized_launches_are_bit_identical() {
-        let jobs: Vec<u32> = (0..96).collect();
-        for parallel in [true, false] {
-            let mut vec = cfg(parallel);
-            vec.trace = true;
-            vec.sanitize = SanitizerConfig::all();
-            vec.exec = ExecMode::Vectorized;
-            let mut scl = vec;
-            scl.exec = ExecMode::Scalar;
-            let a = launch_warps(vec, &jobs, stateful_body);
-            let b = launch_warps(scl, &jobs, stateful_body);
-            assert_eq!(a.results, b.results, "parallel={parallel}");
-            assert_eq!(a.counters, b.counters, "parallel={parallel}");
-            assert_eq!(a.traces, b.traces, "parallel={parallel}");
-            assert_eq!(a.san, b.san, "parallel={parallel}");
         }
     }
 

@@ -34,8 +34,11 @@
 //! that are replayed after the launch through per-SM event time-queues
 //! with limited residency — modeling how resident warps hide memory
 //! latency. Like tracing and sanitizing, scheduling never perturbs modeled
-//! state: a Scheduled run is bit-identical to a Scalar/Vectorized one in
-//! results, counters, traces and sanitizer reports.
+//! state: a Scheduled run is bit-identical to a Vectorized one in results,
+//! counters, traces and sanitizer reports. Both run the one interpreter in
+//! [`warp`], whose memory instructions all take a single issue path
+//! (coalesce → hierarchy → instruction count → recorder → trace →
+//! sanitizer).
 
 #![warn(missing_docs)]
 

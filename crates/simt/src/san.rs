@@ -396,20 +396,6 @@ impl SanState {
         }
     }
 
-    /// Shadow-check a single-lane access (the scalar load/store helpers).
-    pub(crate) fn scalar_op(&mut self, at: u64, lane: u32, addr: u64, size: u32, write: bool) {
-        self.note_active(Mask::lane(lane));
-        if !self.cfg.races {
-            return;
-        }
-        if self.cfg.lockstep {
-            self.epoch += 1;
-        }
-        for byte in addr..addr + size as u64 {
-            self.touch_byte(at, byte, lane, write);
-        }
-    }
-
     fn touch_byte(&mut self, at: u64, byte: u64, lane: u32, write: bool) {
         let st = self.shadow.entry(byte).or_default();
         let epoch = self.epoch;

@@ -23,38 +23,39 @@ use memhier::{
     coalesce_sectors_into, AccessKind, Addr, CoalesceResult, HierarchyConfig, MemHierarchy,
 };
 
-/// How a [`Warp`] executes its per-lane interpreter loops.
+/// What a launch observes of its warps' execution.
 ///
-/// All modes are **bit-identical** in everything a kernel can observe:
-/// results, counters, traces and sanitizer reports. They differ only in
-/// host-side simulation cost and in what is *additionally* observed.
-/// `Scalar` keeps the reference implementation (every scalar helper expands
-/// to a whole-warp [`LaneVec`] operation with a one-lane mask) as a
-/// measurable baseline; `Vectorized` — the default — routes single-lane
-/// accesses through a direct fast path and resolves each warp-wide access
-/// in one batched pass over the coalesced sector set. `Scheduled` executes
-/// exactly like `Vectorized` but additionally records a per-warp
-/// [`crate::sched::WarpTimeline`] (memory instructions annotated with the
-/// hierarchy level they resolved at) for the post-launch event-driven
-/// scheduler replay (see [`crate::sched`]).
+/// Every warp runs the same interpreter, which resolves each warp-wide
+/// access in one batched pass over the coalesced sector set. `Scheduled`
+/// additionally records a per-warp [`crate::sched::WarpTimeline`] (memory
+/// instructions annotated with the hierarchy level they resolved at) for
+/// the post-launch event-driven scheduler replay (see [`crate::sched`]).
+/// The recorder is observational: results, counters, traces and
+/// sanitizer reports are bit-identical in both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Reference per-lane interpretation (the pre-vectorization baseline).
-    Scalar,
-    /// Batched whole-warp execution (the fast path).
+    /// Counter-mode execution (analytic timing).
     #[default]
     Vectorized,
-    /// Batched execution plus timeline recording for the event-driven
+    /// Execution plus timeline recording for the event-driven
     /// multi-warp scheduler ([`crate::sched`]).
     Scheduled,
+}
+
+/// What one memory instruction does at the hierarchy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Read,
+    Write,
+    /// A read-modify-write atomic: bypasses L1 and replays once per
+    /// unique sector beyond the first.
+    Atomic,
 }
 
 /// Execution context for a single warp.
 #[derive(Debug)]
 pub struct Warp {
     width: u32,
-    /// Scalar-vs-batched dispatch for the interpreter hot path.
-    exec: ExecMode,
     /// The warp's slice of simulated device memory.
     pub mem: GlobalMem,
     hier: MemHierarchy,
@@ -87,7 +88,6 @@ impl Warp {
         );
         Warp {
             width,
-            exec: ExecMode::default(),
             mem: GlobalMem::new(),
             hier: MemHierarchy::new(hier_cfg),
             counters: WarpCounters::new(width),
@@ -111,7 +111,6 @@ impl Warp {
             "warp width {width} out of range"
         );
         self.width = width;
-        self.exec = ExecMode::default();
         self.mem.reset();
         self.hier.reconfigure(hier_cfg);
         self.counters = WarpCounters::new(width);
@@ -119,18 +118,6 @@ impl Warp {
         self.injected = InjectedFaults::default();
         self.san = None;
         self.recorder = None;
-    }
-
-    /// Select the interpreter execution mode (see [`ExecMode`]). Modes are
-    /// bit-identical in all modeled state; this only trades host-side
-    /// simulation speed.
-    pub fn set_exec(&mut self, exec: ExecMode) {
-        self.exec = exec;
-    }
-
-    /// The current interpreter execution mode.
-    pub fn exec(&self) -> ExecMode {
-        self.exec
     }
 
     /// Arm injected faults (see [`crate::fault`]): kernel checks observe
@@ -350,62 +337,52 @@ impl Warp {
         }
     }
 
-    fn mem_access(&mut self, mask: Mask, addrs: &LaneVec<Addr>, size: u32, kind: AccessKind) {
+    /// The one memory-instruction issue path. Coalesces the `size`-byte
+    /// accesses of `mask`'s lanes (lane `l` at `addr_of(l)`), routes the
+    /// sector set through the hierarchy, counts the instruction (plus an
+    /// atomic's serialization replays), and feeds the timeline recorder,
+    /// the HBM trace event and the sanitizer. Data movement is the
+    /// caller's.
+    fn issue(&mut self, mask: Mask, addr_of: impl Fn(u32) -> Addr, size: u32, op: Op) {
         let pre = self.hbm_pre();
-        coalesce_sectors_into(&mut self.co_scratch, addrs.iter_masked(mask).map(|(_, a)| (a, size)));
-        let level = match self.exec {
-            ExecMode::Scalar => self.hier.access(&self.co_scratch, kind),
-            ExecMode::Vectorized | ExecMode::Scheduled => {
-                self.hier.access_batched(&self.co_scratch, kind)
-            }
+        coalesce_sectors_into(&mut self.co_scratch, mask.lanes().map(|l| (addr_of(l), size)));
+        let level = match op {
+            Op::Read => self.hier.access(&self.co_scratch, AccessKind::Read),
+            Op::Write => self.hier.access(&self.co_scratch, AccessKind::Write),
+            Op::Atomic => self.hier.access_atomic(&self.co_scratch),
         };
         self.counters.warp_instructions += 1;
+        if op == Op::Atomic {
+            let replays = self.co_scratch.transactions().saturating_sub(1);
+            self.counters.atomic_instructions += 1;
+            self.counters.atomic_replays += replays;
+            self.counters.warp_instructions += replays;
+        }
+        // Record after replay accounting: an atomic (plus its replays)
+        // occupies the issue port until the final clock, then the warp
+        // stalls for the returned level's latency.
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record_mem(self.counters.warp_instructions, level);
         }
         self.hbm_post(pre);
-        if let Some(s) = self.san.as_deref_mut() {
-            let at = self.counters.warp_instructions;
-            s.lint_access(at, self.co_scratch.transactions(), self.co_scratch.lane_accesses);
-            s.mem_op(at, mask, addrs.iter_masked(mask), size, kind == AccessKind::Write);
-            self.san_drain_events();
+        let Some(s) = self.san.as_deref_mut() else { return };
+        if op == Op::Atomic {
+            // Atomics are exempt from the race shadow (the machine
+            // serializes them), but their lanes still count as active
+            // for the divergence check.
+            s.note_active(mask);
+            return;
         }
-    }
-
-    /// One single-lane memory access on the vectorized fast path.
-    ///
-    /// Models exactly what the whole-warp path does with a one-lane mask —
-    /// same coalescing, hierarchy traffic, instruction count, trace events
-    /// and sanitizer behaviour (for a single lane, `SanState::mem_op` and
-    /// `SanState::scalar_op` are equivalent, and the uncoalesced lint can
-    /// never fire below `LINT_MIN_LANES`) — without constructing the
-    /// `LaneVec`s the scalar reference path pays for per access.
-    fn scalar_access(&mut self, lane: u32, addr: Addr, size: u32, kind: AccessKind) {
-        debug_assert!((lane as usize) < crate::MAX_LANES, "lane index {lane} out of range");
-        let pre = self.hbm_pre();
-        coalesce_sectors_into(&mut self.co_scratch, [(addr, size)]);
-        let level = match self.exec {
-            ExecMode::Scalar => self.hier.access(&self.co_scratch, kind),
-            ExecMode::Vectorized | ExecMode::Scheduled => {
-                self.hier.access_batched(&self.co_scratch, kind)
-            }
-        };
-        self.counters.warp_instructions += 1;
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record_mem(self.counters.warp_instructions, level);
-        }
-        self.hbm_post(pre);
-        if let Some(s) = self.san.as_deref_mut() {
-            let at = self.counters.warp_instructions;
-            s.lint_access(at, self.co_scratch.transactions(), self.co_scratch.lane_accesses);
-            s.scalar_op(at, lane, addr, size, kind == AccessKind::Write);
-            self.san_drain_events();
-        }
+        let at = self.counters.warp_instructions;
+        s.lint_access(at, self.co_scratch.transactions(), self.co_scratch.lane_accesses);
+        let lanes = mask.lanes().map(|l| (l, addr_of(l)));
+        s.mem_op(at, mask, lanes, size, op == Op::Write);
+        self.san_drain_events();
     }
 
     /// Warp-wide 32-bit load. Inactive lanes read as 0.
     pub fn load_u32(&mut self, mask: Mask, addrs: &LaneVec<Addr>) -> LaneVec<u32> {
-        self.mem_access(mask, addrs, 4, AccessKind::Read);
+        self.issue(mask, |l| addrs[l], 4, Op::Read);
         let mut out = LaneVec::splat(0u32);
         for (l, a) in addrs.iter_masked(mask) {
             out[l] = self.mem.read_u32(a);
@@ -413,52 +390,18 @@ impl Warp {
         out
     }
 
-    /// Warp-wide 32-bit load whose value the kernel discards (the access
+    /// A warp-wide 32-bit load whose value the kernel discards (the access
     /// is issued for its modeled memory traffic; the semantic bytes are
-    /// read elsewhere host-side). Models exactly what [`Warp::load_u32`]
-    /// models — same instruction count, coalescing, hierarchy traffic,
-    /// trace and sanitizer behaviour. The scalar reference path still
-    /// materializes the lane values like the original interpreter; the
-    /// vectorized path skips the dead value assembly.
-    pub fn touch_u32(&mut self, mask: Mask, addrs: &LaneVec<Addr>) {
-        if self.exec == ExecMode::Scalar {
-            let _ = self.load_u32(mask, addrs);
-            return;
-        }
-        self.mem_access(mask, addrs, 4, AccessKind::Read);
-    }
-
-    /// [`Warp::touch_u32`] with a per-lane address function instead of a
-    /// materialized [`LaneVec`]. The vectorized path streams `addr_of`
-    /// straight into the coalescer — no 8-byte-per-lane vector is built for
-    /// an access whose value the kernel discards; the scalar reference path
-    /// (and any sanitized run, which wants the full per-lane address view)
-    /// materializes the vector and takes the [`Warp::touch_u32`] route,
-    /// charging identical modeled state either way.
+    /// read elsewhere host-side), with lane `l` at `addr_of(l)`. Models
+    /// exactly what [`Warp::load_u32`] models without building the
+    /// address or value vectors.
     pub fn touch_u32_with(&mut self, mask: Mask, addr_of: impl Fn(u32) -> Addr) {
-        if self.exec == ExecMode::Scalar || self.san.is_some() {
-            let addrs = LaneVec::from_fn(self.width, &addr_of);
-            self.touch_u32(mask, &addrs);
-            return;
-        }
-        let pre = self.hbm_pre();
-        coalesce_sectors_into(&mut self.co_scratch, mask.lanes().map(|l| (addr_of(l), 4)));
-        let level = match self.exec {
-            ExecMode::Scalar => self.hier.access(&self.co_scratch, AccessKind::Read),
-            ExecMode::Vectorized | ExecMode::Scheduled => {
-                self.hier.access_batched(&self.co_scratch, AccessKind::Read)
-            }
-        };
-        self.counters.warp_instructions += 1;
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record_mem(self.counters.warp_instructions, level);
-        }
-        self.hbm_post(pre);
+        self.issue(mask, addr_of, 4, Op::Read);
     }
 
     /// Warp-wide 32-bit store.
     pub fn store_u32(&mut self, mask: Mask, addrs: &LaneVec<Addr>, vals: &LaneVec<u32>) {
-        self.mem_access(mask, addrs, 4, AccessKind::Write);
+        self.issue(mask, |l| addrs[l], 4, Op::Write);
         for (l, a) in addrs.iter_masked(mask) {
             self.mem.write_u32(a, vals[l]);
         }
@@ -466,7 +409,7 @@ impl Warp {
 
     /// Warp-wide byte load. Inactive lanes read as 0.
     pub fn load_u8(&mut self, mask: Mask, addrs: &LaneVec<Addr>) -> LaneVec<u8> {
-        self.mem_access(mask, addrs, 1, AccessKind::Read);
+        self.issue(mask, |l| addrs[l], 1, Op::Read);
         let mut out = LaneVec::splat(0u8);
         for (l, a) in addrs.iter_masked(mask) {
             out[l] = self.mem.read_u8(a);
@@ -474,87 +417,22 @@ impl Warp {
         out
     }
 
-    /// Warp-wide byte store.
-    pub fn store_u8(&mut self, mask: Mask, addrs: &LaneVec<Addr>, vals: &LaneVec<u8>) {
-        self.mem_access(mask, addrs, 1, AccessKind::Write);
-        for (l, a) in addrs.iter_masked(mask) {
-            self.mem.write_u8(a, vals[l]);
-        }
-    }
-
-    /// Single-lane 32-bit load (a divergent branch where one lane walks).
+    /// Single-lane 32-bit load (a divergent branch where one lane walks):
+    /// the warp-wide load under `Mask::lane(lane)`, without its vectors.
     pub fn load_u32_scalar(&mut self, lane: u32, addr: Addr) -> u32 {
-        if self.exec == ExecMode::Scalar {
-            let addrs = {
-                let mut a = LaneVec::splat(0u64);
-                a[lane] = addr;
-                a
-            };
-            let out = self.load_u32(Mask::lane(lane), &addrs);
-            return out[lane];
-        }
-        self.scalar_access(lane, addr, 4, AccessKind::Read);
+        self.issue(Mask::lane(lane), |_| addr, 4, Op::Read);
         self.mem.read_u32(addr)
-    }
-
-    /// Single-lane byte load.
-    pub fn load_u8_scalar(&mut self, lane: u32, addr: Addr) -> u8 {
-        if self.exec == ExecMode::Scalar {
-            let addrs = {
-                let mut a = LaneVec::splat(0u64);
-                a[lane] = addr;
-                a
-            };
-            let out = self.load_u8(Mask::lane(lane), &addrs);
-            return out[lane];
-        }
-        self.scalar_access(lane, addr, 1, AccessKind::Read);
-        self.mem.read_u8(addr)
     }
 
     /// Single-lane 32-bit store.
     pub fn store_u32_scalar(&mut self, lane: u32, addr: Addr, v: u32) {
-        if self.exec == ExecMode::Scalar {
-            let addrs = {
-                let mut a = LaneVec::splat(0u64);
-                a[lane] = addr;
-                a
-            };
-            let mut vals = LaneVec::splat(0u32);
-            vals[lane] = v;
-            self.store_u32(Mask::lane(lane), &addrs, &vals);
-            return;
-        }
-        self.scalar_access(lane, addr, 4, AccessKind::Write);
+        self.issue(Mask::lane(lane), |_| addr, 4, Op::Write);
         self.mem.write_u32(addr, v);
-    }
-
-    /// Single-lane 64-bit load (one instruction, 8-byte access).
-    pub fn load_u64_scalar(&mut self, lane: u32, addr: Addr) -> u64 {
-        self.scalar_access(lane, addr, 8, AccessKind::Read);
-        self.mem.read_u64(addr)
-    }
-
-    /// Single-lane 64-bit store (one instruction, 8-byte access).
-    pub fn store_u64_scalar(&mut self, lane: u32, addr: Addr, v: u64) {
-        self.scalar_access(lane, addr, 8, AccessKind::Write);
-        self.mem.write_u64(addr, v);
     }
 
     /// Single-lane byte store.
     pub fn store_u8_scalar(&mut self, lane: u32, addr: Addr, v: u8) {
-        if self.exec == ExecMode::Scalar {
-            let addrs = {
-                let mut a = LaneVec::splat(0u64);
-                a[lane] = addr;
-                a
-            };
-            let mut vals = LaneVec::splat(0u8);
-            vals[lane] = v;
-            self.store_u8(Mask::lane(lane), &addrs, &vals);
-            return;
-        }
-        self.scalar_access(lane, addr, 1, AccessKind::Write);
+        self.issue(Mask::lane(lane), |_| addr, 1, Op::Write);
         self.mem.write_u8(addr, v);
     }
 
@@ -572,7 +450,7 @@ impl Warp {
         cmp: &LaneVec<u32>,
         new: &LaneVec<u32>,
     ) -> LaneVec<u32> {
-        self.atomic_traffic(mask, addrs);
+        self.issue(mask, |l| addrs[l], 4, Op::Atomic);
         let mut out = LaneVec::splat(0u32);
         for (l, a) in addrs.iter_masked(mask) {
             let old = self.mem.read_u32(a);
@@ -591,7 +469,7 @@ impl Warp {
         addrs: &LaneVec<Addr>,
         vals: &LaneVec<u32>,
     ) -> LaneVec<u32> {
-        self.atomic_traffic(mask, addrs);
+        self.issue(mask, |l| addrs[l], 4, Op::Atomic);
         let mut out = LaneVec::splat(0u32);
         for (l, a) in addrs.iter_masked(mask) {
             let old = self.mem.read_u32(a);
@@ -603,46 +481,13 @@ impl Warp {
 
     /// `atomicAdd` whose return value the kernel discards (counter bumps,
     /// vote accumulation). Models exactly what [`Warp::atomic_add_u32`]
-    /// models — same traffic, serialization replays and memory effects.
-    /// The scalar reference path still materializes the old values like
-    /// the original interpreter; the vectorized path skips the dead
-    /// result assembly.
+    /// models — same traffic, serialization replays and memory effects —
+    /// without assembling the old values.
     pub fn atomic_add_u32_discard(&mut self, mask: Mask, addrs: &LaneVec<Addr>, vals: &LaneVec<u32>) {
-        if self.exec == ExecMode::Scalar {
-            let _ = self.atomic_add_u32(mask, addrs, vals);
-            return;
-        }
-        self.atomic_traffic(mask, addrs);
+        self.issue(mask, |l| addrs[l], 4, Op::Atomic);
         for (l, a) in addrs.iter_masked(mask) {
             let old = self.mem.read_u32(a);
             self.mem.write_u32(a, old.wrapping_add(vals[l]));
-        }
-    }
-
-    fn atomic_traffic(&mut self, mask: Mask, addrs: &LaneVec<Addr>) {
-        let pre = self.hbm_pre();
-        coalesce_sectors_into(&mut self.co_scratch, addrs.iter_masked(mask).map(|(_, a)| (a, 4)));
-        let unique_sectors = self.co_scratch.transactions();
-        let level = self.hier.access_atomic(&self.co_scratch);
-        self.counters.atomic_instructions += 1;
-        self.counters.warp_instructions += 1;
-        if unique_sectors > 1 {
-            let replays = unique_sectors - 1;
-            self.counters.atomic_replays += replays;
-            self.counters.warp_instructions += replays;
-        }
-        // Record after replay accounting: the atomic (plus its serialization
-        // replays) occupies the issue port until the final post-increment
-        // clock, then the warp stalls for the returned level's latency.
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record_mem(self.counters.warp_instructions, level);
-        }
-        self.hbm_post(pre);
-        // Atomics are exempt from the race shadow (the machine serializes
-        // them), but their lanes still count as active for the divergence
-        // check.
-        if let Some(s) = self.san.as_deref_mut() {
-            s.note_active(mask);
         }
     }
 
@@ -780,9 +625,10 @@ mod tests {
         let mut w = warp();
         let a = w.mem.alloc(8);
         w.store_u8_scalar(5, a, 0xAB);
-        assert_eq!(w.load_u8_scalar(5, a), 0xAB);
-        w.mem.write_u32(a + 4, 123);
+        assert_eq!(w.mem.read_u8(a), 0xAB);
+        w.store_u32_scalar(3, a + 4, 123);
         assert_eq!(w.load_u32_scalar(0, a + 4), 123);
+        assert_eq!(w.counters.warp_instructions, 3, "one instruction per access");
     }
 
     #[test]
@@ -792,39 +638,8 @@ mod tests {
     }
 
     #[test]
-    fn exec_modes_are_bit_identical() {
-        // Same instruction stream under Scalar and Vectorized dispatch:
-        // results, counters, traces and sanitizer reports must all match.
-        let run = |exec: ExecMode| {
-            let mut w = warp();
-            w.set_exec(exec);
-            w.enable_trace(7);
-            w.enable_sanitizer(SanitizerConfig::all());
-            let base = w.mem.alloc(4 * 32);
-            let addrs = LaneVec::from_fn(32, |l| base + 4 * l as u64);
-            let vals = LaneVec::from_fn(32, |l| l * 3);
-            w.store_u32(w.full_mask(), &addrs, &vals);
-            let loaded = w.load_u32(w.full_mask(), &addrs);
-            w.store_u32_scalar(0, base, 9);
-            let a = w.load_u32_scalar(0, base);
-            w.store_u8_scalar(1, base + 40, 5);
-            let b = w.load_u8_scalar(1, base + 40);
-            w.store_u64_scalar(2, base + 48, 77);
-            let c = w.load_u64_scalar(2, base + 48);
-            let counters = w.finish();
-            (loaded, a, b, c, counters, w.take_trace(), w.take_san_report())
-        };
-        let scalar = run(ExecMode::Scalar);
-        let vectorized = run(ExecMode::Vectorized);
-        let scheduled = run(ExecMode::Scheduled);
-        assert_eq!(scalar, vectorized);
-        assert_eq!(scalar, scheduled);
-    }
-
-    #[test]
     fn recorder_captures_mem_events_and_phases() {
         let mut w = warp();
-        w.set_exec(ExecMode::Scheduled);
         w.enable_recorder(3);
         assert!(w.recording());
         let base = w.mem.alloc(4 * 32);
@@ -926,6 +741,115 @@ mod proptests {
             for l in mask.lanes() {
                 prop_assert_eq!(got[l], seed.wrapping_mul(l + 1));
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod twin_tests {
+    use super::*;
+    use crate::trace::WarpTrace;
+    use proptest::prelude::*;
+
+    /// Words of device memory the twins address.
+    const WORDS: u64 = 96;
+
+    /// A warp-wide byte store: the reference for `store_u8_scalar` (no
+    /// kernel issues a warp-wide byte store).
+    fn store_u8(w: &mut Warp, mask: Mask, addrs: &LaneVec<Addr>, vals: &LaneVec<u8>) {
+        w.issue(mask, |l| addrs[l], 1, Op::Write);
+        for (l, a) in addrs.iter_masked(mask) {
+            w.mem.write_u8(a, vals[l]);
+        }
+    }
+
+    /// SplitMix64 step: the per-lane address/value stream of one op.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    type Observed = (WarpCounters, Vec<u8>, Option<WarpTrace>, Option<SanReport>);
+
+    /// Everything a warp models: counters (memory stats folded in), the
+    /// addressed bytes, the trace and the sanitizer report.
+    fn observe(mut w: Warp, base: Addr) -> Observed {
+        let counters = w.finish();
+        let bytes = w.mem.read_bytes(base, 4 * WORDS).to_vec();
+        (counters, bytes, w.take_trace(), w.take_san_report())
+    }
+
+    proptest! {
+        /// Each single-lane or value-discarding form models exactly what
+        /// its warp-wide, value-returning twin models: the same values,
+        /// counters, memory, trace and sanitizer report, op after op.
+        #[test]
+        fn single_lane_and_discard_forms_match_their_warp_wide_twins(
+            width in proptest::sample::select(vec![16u32, 32, 64]),
+            traced in any::<bool>(),
+            sanitized in any::<bool>(),
+            ops in proptest::collection::vec((0u32..6, any::<u64>()), 1..24),
+        ) {
+            let make = || {
+                let mut w = Warp::new(width, HierarchyConfig::tiny());
+                if traced {
+                    w.enable_trace(0);
+                }
+                if sanitized {
+                    w.enable_sanitizer(SanitizerConfig::all());
+                }
+                w
+            };
+            let (mut a, mut b) = (make(), make());
+            let base = a.mem.alloc(4 * WORDS);
+            prop_assert_eq!(b.mem.alloc(4 * WORDS), base);
+            for (op, seed) in ops {
+                let lane = (seed % width as u64) as u32;
+                let mask = Mask(mix(seed)) & Mask::full(width);
+                let word = |l: u32| base + 4 * (mix(seed ^ (l as u64 + 1)) % WORDS);
+                let byte = |l: u32| base + mix(seed ^ (l as u64 + 1)) % (4 * WORDS);
+                let addrs = LaneVec::from_fn(width, word);
+                let one = |addr: Addr| {
+                    let mut v = LaneVec::splat(0u64);
+                    v[lane] = addr;
+                    v
+                };
+                let val = mix(!seed) as u32;
+                match op {
+                    0 => {
+                        let got = a.load_u32_scalar(lane, word(lane));
+                        let want = b.load_u32(Mask::lane(lane), &one(word(lane)))[lane];
+                        prop_assert_eq!(got, want);
+                    }
+                    1 => {
+                        a.store_u32_scalar(lane, word(lane), val);
+                        let vals = LaneVec::splat(val);
+                        b.store_u32(Mask::lane(lane), &one(word(lane)), &vals);
+                    }
+                    2 => {
+                        a.store_u8_scalar(lane, byte(lane), val as u8);
+                        store_u8(&mut b, Mask::lane(lane), &one(byte(lane)), &LaneVec::splat(val as u8));
+                    }
+                    3 => {
+                        a.touch_u32_with(mask, word);
+                        let _ = b.load_u32(mask, &addrs);
+                    }
+                    4 => {
+                        let vals = LaneVec::from_fn(width, |l| mix(seed ^ l as u64) as u32);
+                        a.atomic_add_u32_discard(mask, &addrs, &vals);
+                        let _ = b.atomic_add_u32(mask, &addrs, &vals);
+                    }
+                    _ => {
+                        // Few distinct keys, so lanes do group.
+                        let keys = LaneVec::from_fn(width, |l| mix(seed ^ l as u64) % 4);
+                        a.match_any_discard(mask);
+                        let _ = b.match_any(mask, &keys);
+                    }
+                }
+            }
+            prop_assert_eq!(observe(a, base), observe(b, base));
         }
     }
 }
