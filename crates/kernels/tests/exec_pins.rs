@@ -33,6 +33,7 @@ const PRESETS: [(usize, u64); 4] = [(21, 42), (33, 7), (55, 13), (77, 99)];
 /// L1 hits, L2 hits, `seconds().to_bits()`, modeled-state digest.
 type Pin = [u64; 8];
 
+#[rustfmt::skip]
 const PINS: [(&str, Pin); 24] = [
     ("k=21 NVIDIA", [682691, 4956799, 59628, 1037248, 87658, 67609, 4565744898413245624, 10767536016167440103]),
     ("k=21 AMD", [599869, 4956205, 60251, 1431456, 77306, 78749, 4568673614770891880, 8457532309692060887]),
@@ -79,7 +80,15 @@ fn pin(r: &GpuRunResult) -> Pin {
     write!(
         h,
         "{:?}",
-        (&r.extensions, &r.outcomes, &p.total, &p.phases.construct, &p.phases.walk, &r.traces, &r.san)
+        (
+            &r.extensions,
+            &r.outcomes,
+            &p.total,
+            &p.phases.construct,
+            &p.phases.walk,
+            &r.traces,
+            &r.san
+        )
     )
     .unwrap();
     let t = &p.total;
